@@ -1,46 +1,25 @@
-"""Reference federated algorithms sharing the objectives and partitioner:
-weighted averaging (FedAvg), proximal local steps (FedProx) and
-normalized-direction aggregation (FedNova)."""
+"""Reference federated algorithms sharing the objectives, the partitioner and
+the local integrator: weighted averaging (FedAvg), proximal local steps
+(FedProx) and normalized-direction aggregation (FedNova).
 
-from dataclasses import dataclass
+Every client runs `clients.simulate_local` from the global state with a zero
+drift, so the local Forward-Euler steps are the ones FedECADO's clients take.
+FedProx adds the proximal pull mu * (x - x_global) to each step; FedNova
+changes only how the server combines the final states."""
 
 import numpy as np
 
-from fedecado.clients import DivergenceError
+from fedecado.clients import simulate_local
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    algo: str = "fedavg"          # fedavg | fedprox | fednova
-    mu: float = 0.01              # proximal coefficient (fedprox)
-    server_lr: float = 1.0
-
-    def __post_init__(self):
-        if self.algo not in ("fedavg", "fedprox", "fednova"):
-            raise ValueError(f"unknown baseline algo {self.algo!r}")
-        if self.mu < 0 or self.server_lr <= 0:
-            raise ValueError("mu must be >= 0 and server_lr > 0")
-
-
-def _local_steps(obj, cfg, x_global, mu=0.0, minibatch=None, rng=None):
-    """Plain local gradient steps from the global state, optionally with a
-    proximal pull toward it.  Returns the final local state."""
-    x = np.asarray(x_global, dtype=np.float64).copy()
-    mb = None if minibatch is None else min(int(minibatch), len(obj.dataset))
-    for step in range(cfg.epochs):
-        if mb is None:
-            grad = obj.gradient(x)
-        else:
-            idx = rng.choice(len(obj.dataset), mb, replace=False)
-            grad = obj.gradient(x, sample_indices=idx)
-        direction = cfg.weight * grad
-        if mu > 0.0:
-            direction = direction + mu * (x - x_global)
-        x = x - cfg.lr * direction
-        if not np.isfinite(x).all():
-            raise DivergenceError(
-                f"client {cfg.client_id} diverged at local step {step + 1}", step=step + 1)
-    return x
+def _local_finals(x_global, objectives, configs, mu, minibatch, rng):
+    """Final local states of the clients, in order, all started from x_global
+    and drawing their minibatches from one shared rng."""
+    drift = np.zeros_like(x_global)
+    return np.array([
+        simulate_local(obj, cfg, x_global, drift, record="endpoints",
+                       minibatch=minibatch, rng=rng, mu=mu).final_state
+        for obj, cfg in zip(objectives, configs)])
 
 
 def _renormalized(weights):
@@ -48,26 +27,21 @@ def _renormalized(weights):
     return weights / weights.sum()
 
 
-def fedavg_round(x_global, objectives, configs, minibatch=None, rng=None):
-    """One round of weighted averaging over the active clients' local
-    results; weights renormalize over the active set."""
-    finals = np.array([
-        _local_steps(obj, cfg, x_global, 0.0, minibatch, rng)
-        for obj, cfg in zip(objectives, configs)])
-    w = _renormalized([cfg.weight for cfg in configs])
-    return (w[:, None] * finals).sum(axis=0)
-
-
 def fedprox_round(x_global, objectives, configs, mu, minibatch=None, rng=None):
     """FedAvg with proximally regularized local steps (gradient plus
-    mu * (x - x_global)); mu = 0 reduces exactly to fedavg_round."""
+    mu * (x - x_global)); weights renormalize over the active set."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    finals = np.array([
-        _local_steps(obj, cfg, x_global, mu, minibatch, rng)
-        for obj, cfg in zip(objectives, configs)])
+    x_global = np.asarray(x_global, dtype=np.float64)
+    finals = _local_finals(x_global, objectives, configs, mu, minibatch, rng)
     w = _renormalized([cfg.weight for cfg in configs])
     return (w[:, None] * finals).sum(axis=0)
+
+
+def fedavg_round(x_global, objectives, configs, minibatch=None, rng=None):
+    """One round of weighted averaging over the active clients' local
+    results: FedProx with mu = 0."""
+    return fedprox_round(x_global, objectives, configs, 0.0, minibatch, rng)
 
 
 def fednova_round(x_global, objectives, configs, minibatch=None, rng=None):
@@ -75,12 +49,7 @@ def fednova_round(x_global, objectives, configs, minibatch=None, rng=None):
     (x_global - x_final) / (lr * steps); the server applies their weighted
     average scaled by the weighted-average effective step sum(w * steps * lr)."""
     x_global = np.asarray(x_global, dtype=np.float64)
-    for cfg in configs:
-        if cfg.epochs < 1:
-            raise ValueError("fednova needs at least one local step per client")
-    finals = np.array([
-        _local_steps(obj, cfg, x_global, 0.0, minibatch, rng)
-        for obj, cfg in zip(objectives, configs)])
+    finals = _local_finals(x_global, objectives, configs, 0.0, minibatch, rng)
     w = _renormalized([cfg.weight for cfg in configs])
     steps = np.array([cfg.epochs for cfg in configs], dtype=np.float64)
     lrs = np.array([cfg.lr for cfg in configs])

@@ -7,9 +7,13 @@ import sys
 
 import click
 
-from fedecado.harness import ConfigError, ExperimentConfig, metrics_to_csv, run_experiment
-from fedecado.objectives import load_csv_dataset, make_blobs
-from fedecado.partition import dirichlet_partition, iid_partition
+from fedecado.harness import (
+    ConfigError,
+    ExperimentConfig,
+    metrics_to_csv,
+    partitioned_dataset,
+    run_experiment,
+)
 
 
 @click.group()
@@ -43,6 +47,8 @@ def run(config_path, seed, out, algo):
     except (ConfigError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    if result.status == "diverged":
+        click.echo(f"diverged: {result.reason}", err=True)
     last = result.metrics_rows[-1] if result.metrics_rows else {}
     click.echo(f"{cfg.name}: {result.status} after {result.rounds_run} rounds "
                f"(loss={last.get('global_loss', float('nan')):.6g})")
@@ -56,20 +62,9 @@ def partition(config_path, out_path):
     """Materialize the config's data partition as JSON."""
     try:
         cfg = _load_config(config_path)
-        spec = cfg.objective
-        if spec["kind"] == "quadratic":
+        if cfg.objective["kind"] == "quadratic":
             raise ConfigError("quadratic objectives have no sample partition")
-        if spec.get("csv"):
-            dataset = load_csv_dataset(spec["csv"])
-        else:
-            dataset = make_blobs(int(spec.get("n_samples", 2000)),
-                                 int(spec.get("n_features", 5)),
-                                 int(spec.get("n_classes", 10)), seed=cfg.seed)
-        if cfg.partition.get("scheme", "iid") == "dirichlet":
-            part = dirichlet_partition(dataset.labels, cfg.n_clients,
-                                       float(cfg.partition.get("alpha", 0.5)), cfg.seed)
-        else:
-            part = iid_partition(len(dataset), cfg.n_clients, cfg.seed)
+        _, part = partitioned_dataset(cfg)
     except (ConfigError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -84,21 +84,22 @@ class ClientUpdate:
 
 
 def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, record="steps",
-                   minibatch=None, rng=None):
+                   minibatch=None, rng=None, mu=0.0):
     """Integrate the local ODE with Forward-Euler steps:
 
-        x <- x - lr * (weight * grad f(x) + i_flow)
+        x <- x - lr * (weight * grad f(x) + i_flow + mu * (x - x_start))
 
     for cfg.epochs steps, holding the drift term i_flow constant over the
-    window.  Records one checkpoint per step plus the initial state
-    (record="steps"), or just the two endpoints (record="endpoints").
+    window; mu > 0 adds FedProx's proximal pull back to the start state.
+    Records one checkpoint per step plus the initial state (record="steps"),
+    or just the two endpoints (record="endpoints").
 
     minibatch selects a seeded random subset of that size per step and uses
     the rescaled stochastic gradient instead of the full one.
     """
-    x = np.asarray(x_start, dtype=np.float64).copy()
+    x0 = np.asarray(x_start, dtype=np.float64).copy()
     drift = np.asarray(i_flow, dtype=np.float64)
-    if x.shape != drift.shape or x.shape != (obj.dim,):
+    if x0.shape != drift.shape or x0.shape != (obj.dim,):
         raise ValueError("x_start/i_flow shape mismatch with the objective")
     if record not in ("steps", "endpoints"):
         raise ValueError("record must be 'steps' or 'endpoints'")
@@ -109,25 +110,31 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, record="steps",
             raise ValueError("minibatch mode needs an rng for reproducibility")
         minibatch = min(int(minibatch), len(obj.dataset))
 
-    states = [x.copy()]
-    for step in range(cfg.epochs):
-        if minibatch is None:
-            grad = obj.gradient(x)
-        else:
-            idx = rng.choice(len(obj.dataset), minibatch, replace=False)
-            grad = obj.gradient(x, sample_indices=idx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = x - cfg.lr * (cfg.weight * grad + drift)
-        if not np.isfinite(x).all():
-            raise DivergenceError(
-                f"client {cfg.client_id} diverged at local step {step + 1} "
-                f"(lr={cfg.lr:g})", step=step + 1)
-        states.append(x.copy())
+    # every step rebinds x to a fresh array, so recorded states never alias
+    x = x0
+    states = [x0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.epochs):
+            if minibatch is None:
+                grad = obj.gradient(x)
+            else:
+                idx = rng.choice(len(obj.dataset), minibatch, replace=False)
+                grad = obj.gradient(x, sample_indices=idx)
+            direction = cfg.weight * grad + drift
+            if mu:
+                direction = direction + mu * (x - x0)
+            x = x - cfg.lr * direction
+            if not np.isfinite(x).all():
+                raise DivergenceError(
+                    f"client {cfg.client_id} diverged at local step {step + 1} "
+                    f"(lr={cfg.lr:g})", step=step + 1)
+            if record == "steps":
+                states.append(x)
 
     times = t_start + cfg.lr * np.arange(cfg.epochs + 1)
     if record == "endpoints":
         times = times[[0, -1]]
-        states = [states[0], states[-1]]
+        states = [x0, x]
     return ClientUpdate(cfg.client_id, times, np.asarray(states), cfg.window)
 
 

@@ -147,32 +147,7 @@ def _resample(updates, active_ids, tau, sync):
     return np.array([updates[i].final_state for i in active_ids])
 
 
-@dataclass
-class SchurCache:
-    """Reusable elimination factors for the arrow solve, keyed on the step
-    size and active set; invalidated whenever either changes."""
-
-    key: tuple = None
-    a_coef: np.ndarray = None
-    inv_a: np.ndarray = None
-    denom: np.ndarray = None
-    hits: int = 0
-    misses: int = 0
-
-    def factors(self, dt, active_ids, gain_inv_active, L):
-        key = (float(dt), tuple(int(i) for i in active_ids))
-        if key != self.key:
-            self.key = key
-            self.a_coef = 1.0 + (dt / L) * gain_inv_active
-            self.inv_a = 1.0 / self.a_coef
-            self.denom = 1.0 + (dt * dt / L) * self.inv_a.sum(axis=0)
-            self.misses += 1
-        else:
-            self.hits += 1
-        return self.a_coef, self.inv_a, self.denom
-
-
-def be_step(state, updates, sens, ctrl, dt, prev_flows=None, sync=True, cache=None):
+def be_step(state, updates, sens, ctrl, dt, prev_flows=None, sync=True):
     """One implicit step of the coupled central system from state.t_now to
     state.t_now + dt.
 
@@ -197,9 +172,8 @@ def be_step(state, updates, sens, ctrl, dt, prev_flows=None, sync=True, cache=No
     flows_a = state.flows[active_ids]
     gam = _resample(updates, active_ids, state.t_now + dt, sync)
 
-    if cache is None:
-        cache = SchurCache()
-    a_coef, inv_a, denom = cache.factors(dt, active_ids, g, L)
+    inv_a = 1.0 / (1.0 + (dt / L) * g)              # 1 / a_i, the flow rows' diagonal
+    denom = 1.0 + (dt * dt / L) * inv_a.sum(axis=0)
     # flow rows:  a_i * flow_i' - (dt/L) x_c' = flow_i + (dt/L)(-gam_i + g_i prev_i)
     r = flows_a + (dt / L) * (-gam + g * prev_flows[active_ids])
     inactive_mask = np.ones(n, dtype=bool)
@@ -246,7 +220,7 @@ def lte(state_before, state_after, updates, sens, ctrl, prev_flows=None, sync=Tr
 
 
 def adaptive_step(state, updates, sens, ctrl, dt_seed=None, dt_cap=None,
-                  prev_flows=None, sync=True, cache=None):
+                  prev_flows=None, sync=True):
     """Take one accepted implicit step, shrinking the trial step until both
     truncation-error estimates fall within ctrl.delta.
 
@@ -260,7 +234,7 @@ def adaptive_step(state, updates, sens, ctrl, dt_seed=None, dt_cap=None,
         dt = min(dt, dt_cap)
     eps_c = eps_l = float("inf")
     for backtracks in range(ctrl.max_backtracks):
-        trial = be_step(state, updates, sens, ctrl, dt, prev_flows, sync, cache)
+        trial = be_step(state, updates, sens, ctrl, dt, prev_flows, sync)
         eps_c, eps_l = lte(state, trial, updates, sens, ctrl, prev_flows, sync)
         worst = max(eps_c, eps_l)
         if worst <= ctrl.delta:
@@ -286,8 +260,7 @@ class StepRecord:
 
 
 def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
-                    loss_fn=None, cache=None, max_substeps=100000,
-                    state_sink=None):
+                    loss_fn=None, max_substeps=100000, state_sink=None):
     """Advance the central state across one communication round's window,
     [t_now, t_now + max(T_i)] over the active clients, by repeated adaptive
     implicit steps.
@@ -296,23 +269,29 @@ def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
     frozen as the previous-iterate term of every flow row.  Returns
     (final_state, step_records, last_dt).  When state_sink is a list, the
     entry state and every accepted sub-step state are appended to it as
-    (time, (flows, x_c)) pairs.
+    (time, (flows, x_c)) pairs.  Raises StepControlError when the round takes
+    more than max_substeps steps, and up front when the window is too long for
+    that many steps of at most ctrl.dt0.
     """
     if not updates:
         raise ValueError("need at least one client update")
     t_end = state.t_now + max(u.window for u in updates.values())
+    span = t_end - state.t_now
+    # every accepted step has dt <= dt0, so a longer window cannot finish
+    if span - 1e-12 * max(1.0, abs(t_end)) > (max_substeps + 1) * ctrl.dt0:
+        raise StepControlError(
+            f"round window {span:g} needs more than {max_substeps} substeps "
+            f"of at most dt0={ctrl.dt0:g}; the trajectory is likely diverging",
+            ctrl.dt0, float("nan"), float("nan"))
     prev_flows = state.flows.copy()
-    if cache is None:
-        cache = SchurCache()
     records = []
     dt_last = dt_seed
-    span = t_end - state.t_now
     if state_sink is not None:
         state_sink.append((state.t_now, (state.flows.copy(), state.x_c.copy())))
     while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
         cap = t_end - state.t_now
         new_state, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, updates, sens, ctrl, dt_last, cap, prev_flows, sync, cache)
+            state, updates, sens, ctrl, dt_last, cap, prev_flows, sync)
         records.append(StepRecord(
             round_index=state.gs_iter,
             tau=new_state.t_now,

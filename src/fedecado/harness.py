@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -24,7 +23,6 @@ from fedecado.clients import (
 )
 from fedecado.consensus import (
     FlowState,
-    SchurCache,
     StepController,
     StepControlError,
     build_sensitivity,
@@ -84,7 +82,6 @@ class ExperimentConfig:
     tol: float = 1e-6
     minibatch: int = None
     record: str = "steps"
-    workers: int = 0
     wall_clock: bool = False
     record_flow_trace: bool = False
     out_dir: str = None
@@ -116,6 +113,11 @@ class ExperimentConfig:
         unknown = set(self.algo_params) - set(DEFAULT_ALGO_PARAMS)
         if unknown:
             raise ConfigError(f"unknown algo_params: {sorted(unknown)}")
+        params = self.params()
+        if params["mu"] < 0:
+            raise ConfigError("algo_params.mu must be >= 0")
+        if params["server_lr"] <= 0:
+            raise ConfigError("algo_params.server_lr must be > 0")
 
     def params(self):
         merged = dict(DEFAULT_ALGO_PARAMS)
@@ -163,6 +165,7 @@ class ExperimentResult:
     weights: np.ndarray
     client_configs: list
     x_init: np.ndarray
+    reason: str = ""            # why a diverged run stopped
 
     @property
     def exit_code(self):
@@ -175,6 +178,26 @@ def sample_active_set(n_clients, ratio, round_index, seed):
     size = max(1, round(ratio * n_clients))
     rng = np.random.default_rng([int(seed), 3301, int(round_index)])
     return np.sort(rng.choice(n_clients, size=size, replace=False))
+
+
+def partitioned_dataset(cfg):
+    """The global dataset of a logistic or MLP config and its client
+    partition."""
+    spec = cfg.objective
+    if spec.get("csv"):
+        dataset = load_csv_dataset(spec["csv"])
+    else:
+        dataset = make_blobs(int(spec.get("n_samples", 2000)),
+                             int(spec.get("n_features", 5)),
+                             int(spec.get("n_classes", 10)),
+                             seed=cfg.seed,
+                             center_scale=float(spec.get("center_scale", 2.0)))
+    if cfg.partition.get("scheme", "iid") == "dirichlet":
+        part = dirichlet_partition(dataset.labels, cfg.n_clients,
+                                   float(cfg.partition.get("alpha", 0.5)), cfg.seed)
+    else:
+        part = iid_partition(len(dataset), cfg.n_clients, cfg.seed)
+    return dataset, part
 
 
 def _build_instance(cfg):
@@ -197,19 +220,7 @@ def _build_instance(cfg):
             weights = np.full(cfg.n_clients, 1.0 / cfg.n_clients)
         return objectives, weights, None
 
-    if "csv" in spec and spec["csv"]:
-        dataset = load_csv_dataset(spec["csv"])
-    else:
-        dataset = make_blobs(int(spec.get("n_samples", 2000)),
-                             int(spec.get("n_features", 5)),
-                             int(spec.get("n_classes", 10)),
-                             seed=cfg.seed,
-                             center_scale=float(spec.get("center_scale", 2.0)))
-    if scheme == "dirichlet":
-        part = dirichlet_partition(dataset.labels, cfg.n_clients,
-                                   float(cfg.partition.get("alpha", 0.5)), cfg.seed)
-    else:
-        part = iid_partition(len(dataset), cfg.n_clients, cfg.seed)
+    dataset, part = partitioned_dataset(cfg)
     shards = [dataset.subset(idx) for idx in part.client_indices]
     if kind == "logistic":
         objectives = [LogisticObjective(s) for s in shards]
@@ -283,23 +294,13 @@ def trace_to_csv(records):
     return buf.getvalue()
 
 
-def _simulate_active(cfg, objectives, configs, active, x_c, flows, t_now):
-    """Run the active clients' local windows (optionally in threads); each
-    one starts from the downloaded consensus state with its stored flow."""
-    def one(i):
-        rng = (np.random.default_rng([int(cfg.seed), 7001, i])
-               if cfg.minibatch is not None else None)
-        return simulate_local(objectives[i], configs[i], x_c, -flows[i],
-                              t_start=t_now, record=cfg.record,
-                              minibatch=cfg.minibatch, rng=rng)
-
-    ids = [int(i) for i in active]
-    if cfg.workers and cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(one, ids))
-    else:
-        results = [one(i) for i in ids]
-    return dict(zip(ids, results))
+def _simulate_active(cfg, objectives, configs, active, state, rng):
+    """Run the active clients' local windows in order; each one starts from
+    the downloaded consensus state with its stored flow."""
+    return {int(i): simulate_local(objectives[i], configs[i], state.x_c, -state.flows[i],
+                                   t_start=state.t_now, record=cfg.record,
+                                   minibatch=cfg.minibatch, rng=rng)
+            for i in active}
 
 
 def run_experiment(cfg):
@@ -338,13 +339,12 @@ def run_experiment(cfg):
 
     sens = build_sensitivity(weights, curvatures(x_init), params["sensitivity_dt_ref"],
                              params["sensitivity_refresh"])
-    cache = SchurCache()
-    x_baseline = x_init.copy()
 
     metrics_rows = []
     all_records = []
     flow_trace = []
     status = "rounds_exhausted"
+    reason = ""
     rounds_run = 0
     dt_seed = None
 
@@ -354,6 +354,9 @@ def run_experiment(cfg):
         round_dts = []
         round_backtracks = 0
         prev_state = state
+        # one minibatch stream per round; the active clients draw from it in order
+        mb_rng = (np.random.default_rng([int(cfg.seed), 7001, rnd])
+                  if cfg.minibatch is not None else None)
         try:
             if cfg.algo == "fedecado":
                 if (sens.refresh_period and rnd > 0
@@ -361,14 +364,13 @@ def run_experiment(cfg):
                     sens = build_sensitivity(weights, curvatures(state.x_c),
                                              params["sensitivity_dt_ref"],
                                              params["sensitivity_refresh"])
-                updates = _simulate_active(cfg, objectives, configs, active,
-                                           state.x_c, state.flows, state.t_now)
+                updates = _simulate_active(cfg, objectives, configs, active, state, mb_rng)
                 sink = [] if cfg.record_flow_trace else None
                 # per-substep loss is only worth computing when a trace is kept
                 trace_loss = global_loss if cfg.out_dir else None
                 state, records, dt_seed = consensus_round(
                     state, updates, sens, ctrl, dt_seed, sync=params["sync"],
-                    loss_fn=trace_loss, cache=cache, state_sink=sink)
+                    loss_fn=trace_loss, state_sink=sink)
                 all_records.extend(records)
                 round_dts = [r.dt for r in records]
                 round_backtracks = sum(r.backtracks for r in records)
@@ -383,8 +385,6 @@ def run_experiment(cfg):
             else:
                 act_objs = [objectives[i] for i in active]
                 act_cfgs = [configs[i] for i in active]
-                mb_rng = (np.random.default_rng([int(cfg.seed), 7001, rnd])
-                          if cfg.minibatch is not None else None)
                 if cfg.algo == "fedavg":
                     agg = fedavg_round(state.x_c, act_objs, act_cfgs, cfg.minibatch, mb_rng)
                 elif cfg.algo == "fedprox":
@@ -403,6 +403,7 @@ def run_experiment(cfg):
                 "accuracy": None, "dt_min": None, "dt_mean": None, "dt_max": None,
                 "backtracks": None})
             status = "diverged"
+            reason = str(exc)
             rounds_run = rnd + 1
             break
 
@@ -423,6 +424,7 @@ def run_experiment(cfg):
         metrics_rows.append(row)
         if not np.isfinite(row["global_loss"]):
             status = "diverged"
+            reason = f"global loss is not finite after round {rnd}"
             break
         if rnd > 0 and steady_state_reached(state, prev_state, cfg.tol):
             status = "converged"
@@ -431,7 +433,8 @@ def run_experiment(cfg):
     result = ExperimentResult(
         config=cfg, status=status, rounds_run=rounds_run, final_x=state.x_c.copy(),
         metrics_rows=metrics_rows, step_records=all_records, flow_trace=flow_trace,
-        objectives=objectives, weights=weights, client_configs=configs, x_init=x_init)
+        objectives=objectives, weights=weights, client_configs=configs, x_init=x_init,
+        reason=reason)
 
     if cfg.out_dir:
         import os

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedecado.baselines import BaselineConfig, fedavg_round, fednova_round, fedprox_round
+from fedecado.baselines import fedavg_round, fednova_round, fedprox_round
 from fedecado.clients import ClientConfig
 from fedecado.objectives import QuadraticObjective
 
@@ -116,13 +116,3 @@ class TestFedNova:
                    lambda: fedprox_round(x_star, [obj] * 2, cfgs, mu=0.05),
                    lambda: fednova_round(x_star, [obj] * 2, cfgs)):
             np.testing.assert_allclose(fn(), x_star, atol=1e-14)
-
-
-class TestBaselineConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(algo="magic")
-        with pytest.raises(ValueError):
-            BaselineConfig(mu=-0.1)
-        with pytest.raises(ValueError):
-            BaselineConfig(server_lr=0.0)

@@ -75,6 +75,17 @@ class TestSimulateLocal:
             simulate_local(simple_quadratic, cfg, np.array([2.0, 3.0]), np.zeros(2))
         assert err.value.step is not None and 1 <= err.value.step <= 5
 
+    def test_proximal_pull_matches_hand_iteration(self, simple_quadratic):
+        mu, lr, w = 0.3, 0.1, 0.5
+        cfg = ClientConfig(0, lr=lr, epochs=3, weight=w)
+        x0 = np.array([2.0, -1.0])
+        drift = np.array([0.2, -0.4])
+        upd = simulate_local(simple_quadratic, cfg, x0, drift, record="endpoints", mu=mu)
+        x = x0.copy()
+        for _ in range(3):
+            x = x - lr * (w * simple_quadratic.gradient(x) + drift + mu * (x - x0))
+        np.testing.assert_array_equal(upd.final_state, x)
+
     def test_minibatch_deterministic(self, blob_data):
         obj = LogisticObjective(blob_data)
         cfg = ClientConfig(0, lr=1e-3, epochs=4, weight=1.0)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fedecado.clients import ClientConfig, ClientUpdate, simulate_local
 from fedecado.consensus import (
     FlowState,
-    SchurCache,
     SensitivityModel,
     StepController,
     StepControlError,
@@ -198,15 +197,6 @@ class TestBeStep:
                         np.abs(fast.flows - ref.flows).max())
         assert worst <= 1e-10
 
-    def test_schur_cache_reused_for_same_dt_and_active_set(self):
-        state, updates, sens = _fixed_point_setup(n=2, d=2)
-        cache = SchurCache()
-        ctrl = StepController()
-        be_step(state, updates, sens, ctrl, dt=0.1, cache=cache)
-        be_step(state, updates, sens, ctrl, dt=0.1, cache=cache)
-        be_step(state, updates, sens, ctrl, dt=0.2, cache=cache)
-        assert cache.hits == 1 and cache.misses == 2
-
 
 class TestLte:
     def test_zero_at_fixed_point(self):
@@ -305,6 +295,26 @@ class TestConsensusRound:
         np.testing.assert_allclose(out.x_c, state.x_c, atol=1e-12)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
         assert out.gs_iter == state.gs_iter + 1
+
+    def test_window_beyond_substep_bound_fails_on_entry(self):
+        # every accepted step has dt <= dt0, so a window longer than
+        # (max_substeps + 1) * dt0 cannot finish and no step is tried
+        state, updates, sens = _fixed_point_setup(window=0.4 + 1e-9)
+        ctrl = StepController(dt0=0.1)
+        sink = []
+        with pytest.raises(StepControlError, match="needs more than 3 substeps"):
+            consensus_round(state, updates, sens, ctrl, max_substeps=3, state_sink=sink)
+        assert sink == []
+
+    def test_window_inside_substep_bound_runs_step_loop(self):
+        # just inside the bound: the round steps at dt0 until its fourth
+        # substep breaks the max_substeps=3 budget
+        state, updates, sens = _fixed_point_setup(window=0.4)
+        ctrl = StepController(dt0=0.1)
+        sink = []
+        with pytest.raises(StepControlError, match="exceeded 3 substeps"):
+            consensus_round(state, updates, sens, ctrl, max_substeps=3, state_sink=sink)
+        assert len(sink) == 5   # entry state plus four accepted substeps
 
     def test_window_covers_max_client_window(self):
         state = FlowState(np.zeros(1), np.zeros((3, 1)), 0.0, 0)

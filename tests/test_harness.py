@@ -13,6 +13,7 @@ from fedecado.harness import (
     run_experiment,
     sample_active_set,
 )
+from fedecado.objectives import LogisticObjective
 from fedecado.oracles import quadratic_minimizer
 
 
@@ -77,6 +78,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             quad_config(algo_params={"LL": 1.0})
 
+    def test_negative_mu_rejected(self):
+        with pytest.raises(ConfigError, match="mu"):
+            quad_config(algo="fedprox", algo_params={"mu": -0.1})
+
+    def test_nonpositive_server_lr_rejected(self):
+        with pytest.raises(ConfigError, match="server_lr"):
+            quad_config(algo="fedavg", algo_params={"server_lr": 0.0})
+
 
 class TestRunExperiment:
     def test_single_client_converges_to_center(self):
@@ -117,6 +126,13 @@ class TestRunExperiment:
         assert res.exit_code == 1
         assert np.isnan(res.metrics_rows[-1]["global_loss"])
 
+    def test_divergence_reason_names_the_cause(self):
+        cfg = quad_config(heterogeneity={"mode": "fixed", "lr": 1e12, "epochs": 3},
+                          rounds_max=10)
+        res = run_experiment(cfg)
+        assert "substeps" in res.reason
+        assert run_experiment(quad_config(rounds_max=3)).reason == ""
+
     def test_baselines_run_and_record(self):
         for algo in ("fedavg", "fedprox", "fednova"):
             cfg = quad_config(algo=algo, rounds_max=30,
@@ -155,12 +171,6 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert np.isfinite(res.metrics_rows[-1]["global_loss"])
 
-    def test_workers_match_serial(self):
-        serial = run_experiment(quad_config(workers=0, rounds_max=20))
-        threaded = run_experiment(quad_config(workers=3, rounds_max=20))
-        np.testing.assert_array_equal(serial.final_x, threaded.final_x)
-        assert metrics_to_csv(serial.metrics_rows) == metrics_to_csv(threaded.metrics_rows)
-
     def test_random_heterogeneity_within_bounds(self):
         cfg = quad_config(heterogeneity={"mode": "random"}, rounds_max=5, n_clients=20)
         res = run_experiment(cfg)
@@ -197,6 +207,35 @@ class TestRunExperiment:
         b = run_experiment(ExperimentConfig(**cfg))
         np.testing.assert_array_equal(a.final_x, b.final_x)
 
+    def test_minibatch_stream_is_per_round_and_shared_by_algos(self, monkeypatch):
+        drawn = []
+        gradient = LogisticObjective.gradient
+
+        def recording(self, x, sample_indices=None):
+            if sample_indices is not None:
+                drawn.append(tuple(sample_indices.tolist()))
+            return gradient(self, x, sample_indices)
+
+        monkeypatch.setattr(LogisticObjective, "gradient", recording)
+        cfg = dict(
+            name="mb", seed=5,
+            objective={"kind": "logistic", "n_samples": 150, "n_features": 3,
+                       "n_classes": 3},
+            n_clients=2, participation_ratio=1.0,
+            partition={"scheme": "iid"},
+            heterogeneity={"mode": "fixed", "lr": 1e-3, "epochs": 2},
+            algo_params={"L": 1e-3, "delta": 1e-2, "dt0": 0.0035},
+            rounds_max=2, tol=1e-12, minibatch=10)
+        draws = {}
+        for algo in ("fedecado", "fedavg"):
+            drawn.clear()
+            run_experiment(ExperimentConfig(algo=algo, **cfg))
+            assert len(drawn) == 8   # 2 rounds x 2 clients x 2 local steps
+            draws[algo] = (drawn[:4], drawn[4:])
+        round0, round1 = draws["fedecado"]
+        assert round0 != round1
+        assert draws["fedavg"][0] == round0
+
     def test_output_files_written(self, tmp_path):
         out = tmp_path / "runout"
         cfg = quad_config(rounds_max=10, out_dir=str(out))
@@ -226,6 +265,23 @@ class TestCli:
         path = self._write_cfg(tmp_path, rounds_max=2)
         result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("algo_params", [{"mu": -0.1}, {"server_lr": 0.0}])
+    def test_run_bad_baseline_params_exit_one(self, tmp_path, algo_params):
+        path = tmp_path / "bad.json"
+        fields = json.loads(quad_config(algo="fedprox").to_json())
+        fields["algo_params"] = algo_params
+        path.write_text(json.dumps(fields))
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert "error:" in result.output
+
+    def test_run_diverged_prints_reason(self, tmp_path):
+        path = self._write_cfg(tmp_path, rounds_max=10,
+                               heterogeneity={"mode": "fixed", "lr": 1e12, "epochs": 3})
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert "diverged:" in result.stderr and "substeps" in result.stderr
 
     def test_run_bad_config_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"
