@@ -16,7 +16,8 @@ first-order correction through the client's aggregate sensitivity for the
 flow change the client has not seen yet.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -257,6 +258,19 @@ class StepRecord:
     backtracks: int
     norm_xc_change: float
     global_loss: float
+
+
+_STEP_FIELDS = tuple(f.name for f in fields(StepRecord))
+_STEP_DTYPE = np.dtype([(f.name, np.int64 if f.type is int else np.float64)
+                        for f in fields(StepRecord)])
+
+
+def step_table(records):
+    """StepRecords as one record array, 64 bytes a step: its rows read like
+    StepRecord (`r.tau`, `r.eps_c`), and a run of thousands of steps keeps
+    no Python object per field."""
+    row = attrgetter(*_STEP_FIELDS)
+    return np.array([row(r) for r in records], dtype=_STEP_DTYPE).view(np.recarray)
 
 
 def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,

@@ -4,6 +4,12 @@ the round loop for every algorithm, and deterministic metrics output.
 A run is a pure function of its config (seed included): instance data,
 client sampling, heterogeneity draws and minibatch draws all derive from the
 config seed through fixed stream tags.
+
+The reported `global_loss` is F(x) = sum_i w_i f_i(x) with w_i = |D_i| / |D|.
+Client losses are sums over their samples, so each sample counts with its
+client's weight.  The metrics row (loss, gradient norm, accuracy) and the
+per-substep trace loss evaluate F through one batched object from
+`objectives.weighted_sum`; accuracy is unweighted over the pooled shards.
 """
 
 import csv
@@ -28,6 +34,7 @@ from fedecado.consensus import (
     build_sensitivity,
     consensus_round,
     steady_state_reached,
+    step_table,
 )
 from fedecado.objectives import (
     LogisticObjective,
@@ -36,6 +43,7 @@ from fedecado.objectives import (
     load_csv_dataset,
     make_blobs,
     random_quadratic,
+    weighted_sum,
 )
 from fedecado.partition import dirichlet_partition, dirichlet_weights, iid_partition
 
@@ -104,6 +112,11 @@ class ExperimentConfig:
             raise ConfigError("tol must be > 0")
         if self.objective.get("kind") not in ("quadratic", "logistic", "mlp"):
             raise ConfigError("objective.kind must be quadratic | logistic | mlp")
+        if self.minibatch is not None:
+            if self.objective["kind"] == "quadratic":
+                raise ConfigError("minibatch needs a dataset objective (logistic | mlp)")
+            if self.minibatch < 1:
+                raise ConfigError("minibatch must be >= 1")
         if self.partition.get("scheme", "iid") not in ("iid", "dirichlet"):
             raise ConfigError("partition.scheme must be iid | dirichlet")
         if self.heterogeneity.get("mode", "fixed") not in ("fixed", "random"):
@@ -159,7 +172,7 @@ class ExperimentResult:
     rounds_run: int
     final_x: np.ndarray
     metrics_rows: list
-    step_records: list
+    step_records: np.recarray  # consensus.StepRecord fields, one row per accepted step
     flow_trace: list            # list of oracles.Trajectory when recorded
     objectives: list
     weights: np.ndarray
@@ -201,7 +214,8 @@ def partitioned_dataset(cfg):
 
 
 def _build_instance(cfg):
-    """Construct objectives, weights and the global dataset (if any)."""
+    """Construct the client objectives, their weights and the weighted
+    global objective."""
     spec = cfg.objective
     kind = spec["kind"]
     scheme = cfg.partition.get("scheme", "iid")
@@ -218,7 +232,7 @@ def _build_instance(cfg):
                                         cfg.seed)
         else:
             weights = np.full(cfg.n_clients, 1.0 / cfg.n_clients)
-        return objectives, weights, None
+        return objectives, weights, weighted_sum(objectives, weights)
 
     dataset, part = partitioned_dataset(cfg)
     shards = [dataset.subset(idx) for idx in part.client_indices]
@@ -226,7 +240,7 @@ def _build_instance(cfg):
         objectives = [LogisticObjective(s) for s in shards]
     else:
         objectives = [MlpObjective(s, hidden=int(spec.get("hidden", 8))) for s in shards]
-    return objectives, part.weights, dataset
+    return objectives, part.weights, weighted_sum(objectives, part.weights)
 
 
 def _client_configs(cfg, weights):
@@ -252,16 +266,6 @@ def _initial_point(cfg, objectives):
     w1 = rng.normal(size=(m, h)) * np.sqrt(2.0 / m)
     w2 = rng.normal(size=(h, k)) * np.sqrt(2.0 / h)
     return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
-
-
-def _global_objective(dataset, kind, hidden):
-    if dataset is None:
-        return None
-    if kind == "logistic":
-        return LogisticObjective(dataset)
-    if kind == "mlp":
-        return MlpObjective(dataset, hidden=hidden)
-    return None
 
 
 def _fmt(value):
@@ -310,21 +314,11 @@ def run_experiment(cfg):
     final_model.json under cfg.out_dir when set.
     """
     params = cfg.params()
-    objectives, weights, dataset = _build_instance(cfg)
+    objectives, weights, global_obj = _build_instance(cfg)
     configs = _client_configs(cfg, weights)
     x_init = _initial_point(cfg, objectives)
     d = objectives[0].dim
-    kind = cfg.objective["kind"]
-    global_obj = _global_objective(dataset, kind, int(cfg.objective.get("hidden", 8)))
-
-    def global_loss(x):
-        return float(sum(w * obj.loss(x) for w, obj in zip(weights, objectives)))
-
-    def global_grad(x):
-        g = np.zeros(d)
-        for w, obj in zip(weights, objectives):
-            g += w * obj.gradient(x)
-        return g
+    classifies = cfg.objective["kind"] != "quadratic"
 
     state = FlowState(x_init.copy(), np.zeros((cfg.n_clients, d)), 0.0, 0)
     held = np.tile(x_init, (cfg.n_clients, 1))
@@ -337,11 +331,13 @@ def run_experiment(cfg):
         return np.array([obj.mean_hessian(at_x, params["hessian_samples"], hess_rng)
                          for obj in objectives])
 
-    sens = build_sensitivity(weights, curvatures(x_init), params["sensitivity_dt_ref"],
-                             params["sensitivity_refresh"])
+    # only FedECADO's central solve uses the curvature-based sensitivity model
+    sens = (build_sensitivity(weights, curvatures(x_init), params["sensitivity_dt_ref"],
+                              params["sensitivity_refresh"])
+            if cfg.algo == "fedecado" else None)
 
     metrics_rows = []
-    all_records = []
+    step_tables = [step_table(())]   # one record array per round, joined at the end
     flow_trace = []
     status = "rounds_exhausted"
     reason = ""
@@ -367,11 +363,11 @@ def run_experiment(cfg):
                 updates = _simulate_active(cfg, objectives, configs, active, state, mb_rng)
                 sink = [] if cfg.record_flow_trace else None
                 # per-substep loss is only worth computing when a trace is kept
-                trace_loss = global_loss if cfg.out_dir else None
+                trace_loss = global_obj.loss if cfg.out_dir else None
                 state, records, dt_seed = consensus_round(
                     state, updates, sens, ctrl, dt_seed, sync=params["sync"],
                     loss_fn=trace_loss, state_sink=sink)
-                all_records.extend(records)
+                step_tables.append(step_table(records))
                 round_dts = [r.dt for r in records]
                 round_backtracks = sum(r.backtracks for r in records)
                 for i, upd in updates.items():
@@ -412,10 +408,10 @@ def run_experiment(cfg):
         row = {
             "round": rnd,
             "wall_ms": wall_ms,
-            "global_loss": global_loss(state.x_c),
-            "grad_norm": float(np.linalg.norm(global_grad(state.x_c))),
+            "global_loss": global_obj.loss(state.x_c),
+            "grad_norm": float(np.linalg.norm(global_obj.gradient(state.x_c))),
             "consensus_gap": float(np.linalg.norm(state.x_c - held, axis=1).max()),
-            "accuracy": accuracy(global_obj, state.x_c) if global_obj is not None else None,
+            "accuracy": accuracy(global_obj, state.x_c) if classifies else None,
             "dt_min": min(round_dts) if round_dts else None,
             "dt_mean": float(np.mean(round_dts)) if round_dts else None,
             "dt_max": max(round_dts) if round_dts else None,
@@ -432,9 +428,9 @@ def run_experiment(cfg):
 
     result = ExperimentResult(
         config=cfg, status=status, rounds_run=rounds_run, final_x=state.x_c.copy(),
-        metrics_rows=metrics_rows, step_records=all_records, flow_trace=flow_trace,
-        objectives=objectives, weights=weights, client_configs=configs, x_init=x_init,
-        reason=reason)
+        metrics_rows=metrics_rows, step_records=np.concatenate(step_tables).view(np.recarray),
+        flow_trace=flow_trace, objectives=objectives, weights=weights,
+        client_configs=configs, x_init=x_init, reason=reason)
 
     if cfg.out_dir:
         import os
@@ -442,8 +438,8 @@ def run_experiment(cfg):
         with open(os.path.join(cfg.out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
             fh.write(metrics_to_csv(metrics_rows))
         with open(os.path.join(cfg.out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
-            fh.write(trace_to_csv(all_records))
+            fh.write(trace_to_csv(result.step_records))
         with open(os.path.join(cfg.out_dir, "final_model.json"), "w", encoding="utf-8") as fh:
-            json.dump({"x": result.final_x.tolist(), "status": status,
+            json.dump({"x": result.final_x.tolist(), "status": status, "reason": reason,
                        "rounds": rounds_run}, fh)
     return result

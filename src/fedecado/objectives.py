@@ -5,6 +5,12 @@ estimates.
 Every objective works on a flat parameter vector.  Dataset-backed losses are
 *sums* over local samples, so a client with more data has a proportionally
 larger loss, gradient and curvature.
+
+The global objective is F(x) = sum_i w_i f_i(x) with w_i = |D_i| / |D|.
+Because each f_i is a sum, every sample s of client i counts in F with its
+client's weight w_i: F(x) = sum_i w_i sum_{s in D_i} CE_s(x).
+`weighted_sum` builds F as one object whose loss and gradient run in a
+single numpy pass over all clients.
 """
 
 from dataclasses import dataclass
@@ -114,10 +120,73 @@ def random_quadratic(dim, rng, eig_min, eig_max, center_scale=1.0):
     return QuadraticObjective((q * lam) @ q.T, rng.normal(size=dim) * center_scale)
 
 
+class QuadraticStack:
+    """F(x) = sum_i w_i f_i(x) over quadratics f_i, evaluated in one batched
+    pass over the stacked matrices (n, d, d) and centers (n, d)."""
+
+    kind = "quadratic"
+
+    def __init__(self, objectives, weights):
+        self.matrices = np.stack([obj.matrix for obj in objectives])
+        self.centers = np.stack([obj.center for obj in objectives])
+        self.weights = np.asarray(weights, dtype=np.float64)
+
+    @property
+    def dim(self):
+        return self.centers.shape[1]
+
+    def _residuals(self, x):
+        r = _check_vector(x, self.dim) - self.centers
+        return r, (self.matrices @ r[..., None])[..., 0]
+
+    def loss(self, x):
+        r, ar = self._residuals(x)
+        per_client = (0.5 * r[:, None, :] @ ar[:, :, None])[:, 0, 0]
+        # cumsum adds the clients in order, as a per-client loop would
+        return float(np.cumsum(self.weights * per_client)[-1])
+
+    def gradient(self, x):
+        _, ar = self._residuals(x)
+        # an axis-0 sum also adds the clients' rows in order
+        return (self.weights[:, None] * ar).sum(axis=0)
+
+
 def _softmax(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _check_sample_weights(sample_weights, n):
+    if sample_weights is None:
+        return None
+    omega = np.asarray(sample_weights, dtype=np.float64)
+    if omega.shape != (n,) or not np.isfinite(omega).all() or (omega < 0).any():
+        raise ValueError(f"sample_weights must be {n} finite non-negative values")
+    return omega
+
+
+def _batch_labels(labels, omega, idx):
+    """Labels and sample weights of the samples idx (all samples when None)."""
+    if idx is None:
+        return labels, omega
+    return labels[idx], (None if omega is None else omega[idx])
+
+
+def _cross_entropy(p, labels, omega):
+    """Summed cross-entropy of the softmax outputs p; each sample's term is
+    scaled by its weight when omega is given."""
+    logs = np.log(np.maximum(p[np.arange(len(labels)), labels], 1e-300))
+    return float(-(logs.sum() if omega is None else omega @ logs))
+
+
+def _logit_residual(p, labels, omega):
+    """Per-sample gradient of the (weighted) cross-entropy w.r.t. the logits."""
+    delta = p.copy()
+    delta[np.arange(len(labels)), labels] -= 1.0
+    if omega is not None:
+        delta *= omega[:, None]
+    return delta
 
 
 class LogisticObjective:
@@ -125,17 +194,19 @@ class LogisticObjective:
     cross-entropy over the local dataset.
 
     Parameters are flattened as [W.ravel(), b] with W of shape
-    (n_features, n_classes).
+    (n_features, n_classes).  Optional `sample_weights` scale each sample's
+    term in `loss` and `gradient`; curvature and accuracy stay unweighted.
     """
 
     kind = "logistic"
 
-    def __init__(self, dataset):
+    def __init__(self, dataset, sample_weights=None):
         if len(dataset) == 0:
             raise ValueError("dataset must be non-empty")
         self.dataset = dataset
         self.n_features = dataset.features.shape[1]
         self.n_classes = dataset.n_classes
+        self.sample_weights = _check_sample_weights(sample_weights, len(dataset))
 
     @property
     def dim(self):
@@ -153,17 +224,14 @@ class LogisticObjective:
     def loss(self, x):
         x = _check_vector(x, self.dim)
         _, p = self._probs(x)
-        picked = p[np.arange(len(self.dataset)), self.dataset.labels]
-        return float(-np.log(np.maximum(picked, 1e-300)).sum())
+        return _cross_entropy(p, self.dataset.labels, self.sample_weights)
 
     def gradient(self, x, sample_indices=None):
         x = _check_vector(x, self.dim)
-        labels = self.dataset.labels
-        if sample_indices is not None:
-            labels = labels[sample_indices]
+        labels, omega = _batch_labels(self.dataset.labels, self.sample_weights,
+                                      sample_indices)
         feats, p = self._probs(x, sample_indices)
-        delta = p.copy()
-        delta[np.arange(len(labels)), labels] -= 1.0
+        delta = _logit_residual(p, labels, omega)
         grad = np.concatenate([(feats.T @ delta).ravel(), delta.sum(axis=0)])
         if sample_indices is not None:
             # rescale the mini-batch estimate back to full-sum scale
@@ -195,17 +263,20 @@ def _curvature_subsample(n, sample_budget, rng):
 
 class MlpObjective:
     """One-hidden-layer tanh network with softmax cross-entropy, summed over
-    the local dataset.  Parameters flatten as [W1, b1, W2, b2]."""
+    the local dataset.  Parameters flatten as [W1, b1, W2, b2].  Optional
+    `sample_weights` scale each sample's term in `loss` and `gradient`;
+    curvature and accuracy stay unweighted."""
 
     kind = "mlp"
 
-    def __init__(self, dataset, hidden=8):
+    def __init__(self, dataset, hidden=8, sample_weights=None):
         if len(dataset) == 0:
             raise ValueError("dataset must be non-empty")
         self.dataset = dataset
         self.n_features = dataset.features.shape[1]
         self.n_classes = dataset.n_classes
         self.hidden = int(hidden)
+        self.sample_weights = _check_sample_weights(sample_weights, len(dataset))
 
     @property
     def dim(self):
@@ -230,17 +301,14 @@ class MlpObjective:
     def loss(self, x):
         x = _check_vector(x, self.dim)
         _, _, p, _ = self._forward(x)
-        picked = p[np.arange(len(self.dataset)), self.dataset.labels]
-        return float(-np.log(np.maximum(picked, 1e-300)).sum())
+        return _cross_entropy(p, self.dataset.labels, self.sample_weights)
 
     def gradient(self, x, sample_indices=None):
         x = _check_vector(x, self.dim)
-        labels = self.dataset.labels
-        if sample_indices is not None:
-            labels = labels[sample_indices]
+        labels, omega = _batch_labels(self.dataset.labels, self.sample_weights,
+                                      sample_indices)
         feats, hid, p, w2 = self._forward(x, sample_indices)
-        delta = p.copy()
-        delta[np.arange(len(labels)), labels] -= 1.0
+        delta = _logit_residual(p, labels, omega)
         g_w2 = hid.T @ delta
         g_b2 = delta.sum(axis=0)
         back = (delta @ w2.T) * (1.0 - hid ** 2)
@@ -283,3 +351,28 @@ def accuracy(obj, x):
     else:
         raise ValueError("accuracy is defined for classification objectives only")
     return float((p.argmax(axis=1) == obj.dataset.labels).mean())
+
+
+def weighted_sum(objectives, weights):
+    """The global objective F(x) = sum_i w_i f_i(x) as one object whose
+    `loss` and `gradient` run in a single numpy pass.
+
+    Quadratics are stacked.  Dataset objectives become one objective of the
+    same class over the client shards concatenated in client order, where
+    each sample carries its client's weight w_i.  Since every partition
+    covers each sample once, accuracy on the result is accuracy on the whole
+    dataset.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(weights) != len(objectives):
+        raise ValueError("one weight per objective expected")
+    first = objectives[0]
+    if first.kind == "quadratic":
+        return QuadraticStack(objectives, weights)
+    pooled = Dataset(np.concatenate([obj.dataset.features for obj in objectives]),
+                     np.concatenate([obj.dataset.labels for obj in objectives]),
+                     first.n_classes)
+    omega = np.repeat(weights, [len(obj.dataset) for obj in objectives])
+    if first.kind == "logistic":
+        return LogisticObjective(pooled, sample_weights=omega)
+    return MlpObjective(pooled, hidden=first.hidden, sample_weights=omega)

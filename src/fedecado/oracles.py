@@ -1,8 +1,8 @@
-"""Independent brute-force verifiers: analytic minimizers, finite-difference
-derivatives, a dense reference solve for the central step, discounted
-trajectory norms, and the stability study that freezes the flow sign
-convention.  Everything here is deliberately simple and separate from the
-code paths it checks."""
+"""Independent brute-force verifiers: analytic minimizers, the per-client
+weighted global objective, finite-difference derivatives, a dense reference
+solve for the central step, discounted trajectory norms, and the stability
+study that freezes the flow sign convention.  Everything here is
+deliberately simple and separate from the code paths it checks."""
 
 from dataclasses import dataclass
 
@@ -42,6 +42,20 @@ def quadratic_minimizer(objectives, weights):
     except np.linalg.LinAlgError:
         lhs = lhs + 1e-12 * np.eye(d)
         return np.linalg.solve(lhs, rhs)
+
+
+def weighted_loss(objectives, weights, x):
+    """The global objective sum_i w_i f_i(x), one client at a time: the
+    reference for `objectives.weighted_sum`."""
+    return float(sum(w * obj.loss(x) for w, obj in zip(weights, objectives)))
+
+
+def weighted_gradient(objectives, weights, x):
+    """Gradient of the global objective, accumulated one client at a time."""
+    g = np.zeros(objectives[0].dim)
+    for w, obj in zip(weights, objectives):
+        g += w * obj.gradient(x)
+    return g
 
 
 def stationary_flows(objectives, weights, x_star):

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fedecado.harness as harness
 from fedecado.cli import main as cli_main
+from fedecado.consensus import StepRecord, step_table
 from fedecado.harness import (
     ConfigError,
     ExperimentConfig,
     metrics_to_csv,
+    partitioned_dataset,
     run_experiment,
     sample_active_set,
+    trace_to_csv,
 )
-from fedecado.objectives import LogisticObjective
+from fedecado.objectives import LogisticObjective, QuadraticObjective
 from fedecado.oracles import quadratic_minimizer
 
 
@@ -27,6 +31,21 @@ def quad_config(**overrides):
         algo="fedecado",
         algo_params={"L": 0.05, "delta": 1e-2, "dt0": 0.105, "sensitivity_dt_ref": 0.05},
         rounds_max=60, tol=1e-12)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def logistic_config(**overrides):
+    base = dict(
+        name="log", seed=1,
+        objective={"kind": "logistic", "n_samples": 200, "n_features": 4,
+                   "n_classes": 3},
+        n_clients=5, participation_ratio=1.0,
+        partition={"scheme": "dirichlet", "alpha": 0.5},
+        heterogeneity={"mode": "fixed", "lr": 1e-3, "epochs": 5},
+        algo="fedecado",
+        algo_params={"L": 1e-3, "delta": 1e-2, "dt0": 0.006},
+        rounds_max=20, tol=1e-12)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -86,6 +105,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="server_lr"):
             quad_config(algo="fedavg", algo_params={"server_lr": 0.0})
 
+    def test_minibatch_on_quadratic_rejected(self):
+        with pytest.raises(ConfigError, match="minibatch"):
+            quad_config(minibatch=4)
+
+    @pytest.mark.parametrize("minibatch", [0, -3])
+    def test_nonpositive_minibatch_rejected(self, minibatch):
+        with pytest.raises(ConfigError, match="minibatch"):
+            logistic_config(minibatch=minibatch)
+
 
 class TestRunExperiment:
     def test_single_client_converges_to_center(self):
@@ -126,12 +154,16 @@ class TestRunExperiment:
         assert res.exit_code == 1
         assert np.isnan(res.metrics_rows[-1]["global_loss"])
 
-    def test_divergence_reason_names_the_cause(self):
+    def test_divergence_reason_names_the_cause(self, tmp_path):
         cfg = quad_config(heterogeneity={"mode": "fixed", "lr": 1e12, "epochs": 3},
-                          rounds_max=10)
+                          rounds_max=10, out_dir=str(tmp_path / "div"))
         res = run_experiment(cfg)
         assert "substeps" in res.reason
-        assert run_experiment(quad_config(rounds_max=3)).reason == ""
+        saved = json.loads((tmp_path / "div" / "final_model.json").read_text())
+        assert saved["status"] == "diverged" and saved["reason"] == res.reason
+        ok = run_experiment(quad_config(rounds_max=3, out_dir=str(tmp_path / "ok")))
+        assert ok.reason == ""
+        assert json.loads((tmp_path / "ok" / "final_model.json").read_text())["reason"] == ""
 
     def test_baselines_run_and_record(self):
         for algo in ("fedavg", "fedprox", "fednova"):
@@ -143,19 +175,44 @@ class TestRunExperiment:
             assert res.metrics_rows[-1]["dt_min"] is None
 
     def test_logistic_metrics_include_accuracy(self):
-        cfg = ExperimentConfig(
-            name="log", seed=1,
-            objective={"kind": "logistic", "n_samples": 200, "n_features": 4,
-                       "n_classes": 3},
-            n_clients=5, participation_ratio=1.0,
-            partition={"scheme": "dirichlet", "alpha": 0.5},
-            heterogeneity={"mode": "fixed", "lr": 1e-3, "epochs": 5},
-            algo="fedecado",
-            algo_params={"L": 1e-3, "delta": 1e-2, "dt0": 0.006},
-            rounds_max=20, tol=1e-12)
-        res = run_experiment(cfg)
+        res = run_experiment(logistic_config())
         acc = res.metrics_rows[-1]["accuracy"]
         assert acc is not None and 0.0 <= acc <= 1.0
+
+    def test_global_loss_is_client_weighted_summed_cross_entropy(self):
+        # F(x) = sum_i w_i sum_{s in D_i} CE_s(x) with w_i = |D_i| / |D|
+        cfg = logistic_config(partition={"scheme": "dirichlet", "alpha": 0.2})
+        res = run_experiment(cfg)
+        dataset, part = partitioned_dataset(cfg)
+        m, k = dataset.features.shape[1], dataset.n_classes
+        W, b = res.final_x[: m * k].reshape(m, k), res.final_x[m * k:]
+        logits = dataset.features @ W + b
+        top = logits.max(axis=1)
+        log_norm = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+        ce = log_norm - logits[np.arange(len(dataset)), dataset.labels]
+        expected = sum(len(idx) / len(dataset) * ce[idx].sum()
+                       for idx in part.client_indices)
+        assert res.metrics_rows[-1]["global_loss"] == pytest.approx(expected, rel=1e-12)
+
+    def test_baselines_skip_curvature_and_sensitivity(self, monkeypatch):
+        calls = {"mean_hessian": 0, "build_sensitivity": 0}
+        mean_hessian = QuadraticObjective.mean_hessian
+        build_sensitivity = harness.build_sensitivity
+
+        def counted_hessian(self, *args, **kwargs):
+            calls["mean_hessian"] += 1
+            return mean_hessian(self, *args, **kwargs)
+
+        def counted_sensitivity(*args, **kwargs):
+            calls["build_sensitivity"] += 1
+            return build_sensitivity(*args, **kwargs)
+
+        monkeypatch.setattr(QuadraticObjective, "mean_hessian", counted_hessian)
+        monkeypatch.setattr(harness, "build_sensitivity", counted_sensitivity)
+        run_experiment(quad_config(algo="fednova", rounds_max=3))
+        assert calls == {"mean_hessian": 0, "build_sensitivity": 0}
+        run_experiment(quad_config(rounds_max=3))
+        assert calls == {"mean_hessian": 3, "build_sensitivity": 1}
 
     def test_mlp_run_finishes(self):
         cfg = ExperimentConfig(
@@ -276,6 +333,20 @@ class TestCli:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    @pytest.mark.parametrize("make_config,minibatch",
+                             [(quad_config, 4), (logistic_config, 0)])
+    def test_run_bad_minibatch_exit_one(self, tmp_path, make_config, minibatch):
+        path = tmp_path / "bad.json"
+        fields = json.loads(make_config().to_json())
+        fields["minibatch"] = minibatch
+        path.write_text(json.dumps(fields))
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert "error:" in result.stderr and "minibatch" in result.stderr
+        # a clean exit, not an exception escaping run_experiment
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
     def test_run_diverged_prints_reason(self, tmp_path):
         path = self._write_cfg(tmp_path, rounds_max=10,
                                heterogeneity={"mode": "fixed", "lr": 1e12, "epochs": 3})
@@ -352,3 +423,17 @@ def test_fedecado_beats_initial_loss_on_quadratic():
     x_star = quadratic_minimizer(res.objectives, res.weights)
     rel = np.linalg.norm(res.final_x - x_star) / np.linalg.norm(x_star)
     assert rel <= 1e-3
+
+
+def test_step_table_reads_and_prints_like_step_records():
+    records = [StepRecord(0, 0.0105, 0.0105, 1e-3, 2.5e-7, 0, 0.75, float("nan")),
+               StepRecord(4099, 1.0 / 3.0, 1e-300, 0.0, 9.999e-3, 40, 1e15, 12.516230)]
+    table = step_table(records)
+    assert len(table) == 2 and len(step_table(())) == 0
+    for rec, row in zip(records, table):
+        assert (row.round_index, row.backtracks) == (rec.round_index, rec.backtracks)
+        np.testing.assert_array_equal([row.tau, row.dt, row.eps_c, row.eps_l,
+                                       row.norm_xc_change, row.global_loss],
+                                      [rec.tau, rec.dt, rec.eps_c, rec.eps_l,
+                                       rec.norm_xc_change, rec.global_loss])
+    assert trace_to_csv(table) == trace_to_csv(records)
