@@ -2,7 +2,6 @@
 gradient-flow ODE over a private time window, recording the checkpoint
 trajectory the central agent later resamples."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,20 +67,6 @@ class ClientUpdate:
     def final_state(self):
         return self.states[-1]
 
-    def to_json(self):
-        return json.dumps({
-            "id": self.client_id,
-            "T": self.window,
-            "checkpoints": [[float(t), x.tolist()] for t, x in zip(self.times, self.states)],
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        times = np.array([c[0] for c in obj["checkpoints"]])
-        states = np.array([c[1] for c in obj["checkpoints"]])
-        return cls(obj["id"], times, states, obj["T"])
-
 
 def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, record="steps",
                    minibatch=None, rng=None, mu=0.0):
@@ -143,6 +128,8 @@ def sample_heterogeneity(n_clients, seed, lr_range=(1e-4, 1e-3), epoch_range=(1,
     """Draw per-client compute profiles: lr uniform on lr_range, epochs
     uniform integer on [epoch_range[0], epoch_range[1]].  Deterministic in
     seed."""
+    if not (0 < lr_range[0] <= lr_range[1] and 1 <= epoch_range[0] <= epoch_range[1]):
+        raise ValueError("need 0 < lr_min <= lr_max and 1 <= epochs_min <= epochs_max")
     rng = np.random.default_rng([int(seed), 9901])
     lrs = rng.uniform(lr_range[0], lr_range[1], n_clients)
     epochs = rng.integers(epoch_range[0], epoch_range[1] + 1, n_clients)

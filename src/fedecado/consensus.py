@@ -14,10 +14,15 @@ reverse pairing of central signs is an unstable saddle.
 x_i_hat is the trajectory value resampled at the synchronization time plus a
 first-order correction through the client's aggregate sensitivity for the
 flow change the client has not seen yet.
+
+Only `resample` resamples; `be_step` and `lte` do arithmetic on its output.
+A round resamples at t_now once on entry, each trial once at t_now + dt, and
+the accepted trial's array is carried as the next step's t_now resample: a
+sync=True round makes n_active * (trials + 1) `interp_state` calls, and a
+sync=False round (final states throughout) makes none.
 """
 
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,26 +56,6 @@ class FlowState:
         if not (np.isfinite(self.x_c).all() and np.isfinite(self.flows).all()):
             raise ValueError("non-finite central state")
 
-    @property
-    def n_clients(self):
-        return self.flows.shape[0]
-
-    def to_json(self):
-        import json
-        return json.dumps({
-            "x_c": self.x_c.tolist(),
-            "flows": self.flows.tolist(),
-            "t_now": self.t_now,
-            "gs_iter": self.gs_iter,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        import json
-        obj = json.loads(text)
-        return cls(np.asarray(obj["x_c"]), np.asarray(obj["flows"]),
-                   obj["t_now"], obj["gs_iter"])
-
 
 @dataclass(frozen=True)
 class SensitivityModel:
@@ -79,19 +64,16 @@ class SensitivityModel:
     correspondingly stronger pull on the consensus state."""
 
     gain: np.ndarray          # (n_clients, d), entries >= 1/dt_ref > 0
-    refresh_period: int = 0   # rounds between curvature refreshes; 0 = never
+    inverse: np.ndarray = field(init=False, repr=False)   # 1 / gain
 
     def __post_init__(self):
         object.__setattr__(self, "gain", np.asarray(self.gain, dtype=np.float64))
         if (self.gain <= 0).any():
             raise ValueError("sensitivity gains must be positive")
-
-    @property
-    def inverse(self):
-        return 1.0 / self.gain
+        object.__setattr__(self, "inverse", 1.0 / self.gain)
 
 
-def build_sensitivity(weights, hessian_diags, dt_ref, refresh_period=0):
+def build_sensitivity(weights, hessian_diags, dt_ref):
     """Constant aggregate sensitivity per client: 1/dt_ref + w_i * H_i
     elementwise, from precomputed diagonal curvature estimates."""
     if dt_ref <= 0:
@@ -100,7 +82,7 @@ def build_sensitivity(weights, hessian_diags, dt_ref, refresh_period=0):
     hessians = np.asarray(hessian_diags, dtype=np.float64)
     if (hessians < 0).any():
         raise ValueError("curvature estimates must be >= 0")
-    return SensitivityModel(1.0 / dt_ref + weights[:, None] * hessians, refresh_period)
+    return SensitivityModel(1.0 / dt_ref + weights[:, None] * hessians)
 
 
 @dataclass(frozen=True)
@@ -125,6 +107,15 @@ class StepController:
             raise ValueError("growth must be >= 1")
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """Bare (times, states) pair; states row-indexed by time.  A recorded
+    flow trace holds one per round, each state concat(flows.ravel(), x_c)."""
+
+    times: np.ndarray
+    states: np.ndarray
+
+
 def interp_state(update, tau):
     """Piecewise-linear resampling of a checkpoint trajectory at time tau.
 
@@ -142,57 +133,56 @@ def interp_state(update, tau):
     return states[j] + slope * (tau - t1)
 
 
-def _resample(updates, active_ids, tau, sync):
+def resample(updates, tau, sync):
+    """The active clients' states at time tau as an (n_active, d) array in
+    sorted client order: each trajectory resampled at tau when sync is set,
+    otherwise each client's final state."""
     if sync:
-        return np.array([interp_state(updates[i], tau) for i in active_ids])
-    return np.array([updates[i].final_state for i in active_ids])
+        return np.array([interp_state(updates[i], tau) for i in sorted(updates)])
+    return np.array([updates[i].final_state for i in sorted(updates)])
 
 
-def be_step(state, updates, sens, ctrl, dt, prev_flows=None, sync=True):
+def be_step(state, active, gam, sens, ctrl, dt, prev_flows):
     """One implicit step of the coupled central system from state.t_now to
     state.t_now + dt.
 
-    Active clients (the keys of `updates`) get their flow equations solved
-    against their resampled trajectories; inactive clients hold their last
-    flows, which still enter the consensus row as constants.  The arrow
-    system is solved exactly per coordinate by eliminating the diagonal flow
-    rows (Schur complement), O(n_active * d).
+    The active clients (sorted ids `active`) get their flow equations solved
+    against `gam`, their states resampled at state.t_now + dt; inactive
+    clients hold their last flows, which still enter the consensus row as
+    constants.  The arrow system is solved exactly per coordinate by
+    eliminating the diagonal flow rows (Schur complement), O(n_active * d).
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    active_ids = sorted(updates)
-    if not active_ids:
+    if not active:
         raise ValueError("need at least one active client")
     n, d = state.flows.shape
-    if prev_flows is None:
-        prev_flows = state.flows
-    prev_flows = np.asarray(prev_flows, dtype=np.float64)
 
     L = ctrl.L
-    g = sens.inverse[active_ids]                    # (n_a, d)
-    flows_a = state.flows[active_ids]
-    gam = _resample(updates, active_ids, state.t_now + dt, sync)
+    g = sens.inverse[active]                        # (n_a, d)
+    flows_a = state.flows[active]
 
     inv_a = 1.0 / (1.0 + (dt / L) * g)              # 1 / a_i, the flow rows' diagonal
     denom = 1.0 + (dt * dt / L) * inv_a.sum(axis=0)
     # flow rows:  a_i * flow_i' - (dt/L) x_c' = flow_i + (dt/L)(-gam_i + g_i prev_i)
-    r = flows_a + (dt / L) * (-gam + g * prev_flows[active_ids])
+    r = flows_a + (dt / L) * (-gam + g * prev_flows[active])
     inactive_mask = np.ones(n, dtype=bool)
-    inactive_mask[active_ids] = False
+    inactive_mask[active] = False
     hold = state.flows[inactive_mask].sum(axis=0) if inactive_mask.any() else 0.0
     # consensus row:  x_c' + dt * sum_i flow_i' = x_c
     x_c_new = (state.x_c - dt * (r * inv_a).sum(axis=0) - dt * hold) / denom
     flows_new = state.flows.copy()
-    flows_new[active_ids] = (r + (dt / L) * x_c_new) * inv_a
+    flows_new[active] = (r + (dt / L) * x_c_new) * inv_a
 
     if not (np.isfinite(x_c_new).all() and np.isfinite(flows_new).all()):
         raise FloatingPointError("central solve produced non-finite values")
     return FlowState(x_c_new, flows_new, state.t_now + dt, state.gs_iter)
 
 
-def lte(state_before, state_after, updates, sens, ctrl, prev_flows=None, sync=True):
+def lte(state_before, state_after, active, gam_before, gam_after, sens, ctrl, prev_flows):
     """Truncation-error estimates of the implicit step between two
-    consecutive states.
+    consecutive states, given the active clients' resampled states at both
+    ends.
 
     Returns (eps_c, eps_l): eps_c bounds the consensus-row error as
     dt/2 * |change in the summed flows| (max over coordinates); eps_l bounds
@@ -202,75 +192,48 @@ def lte(state_before, state_after, updates, sens, ctrl, prev_flows=None, sync=Tr
     dt = state_after.t_now - state_before.t_now
     if dt <= 0:
         raise ValueError("states must be consecutive (dt > 0)")
-    active_ids = sorted(updates)
-    if prev_flows is None:
-        prev_flows = state_before.flows
-    g = sens.inverse[active_ids]
+    g = sens.inverse[active]
     eps_c = 0.5 * dt * np.abs(
-        state_after.flows[active_ids].sum(axis=0)
-        - state_before.flows[active_ids].sum(axis=0)).max()
+        state_after.flows[active].sum(axis=0)
+        - state_before.flows[active].sum(axis=0)).max()
 
-    gam_before = _resample(updates, active_ids, state_before.t_now, sync)
-    gam_after = _resample(updates, active_ids, state_after.t_now, sync)
-    rhs_before = (state_before.x_c - state_before.flows[active_ids] * g
-                  - gam_before + prev_flows[active_ids] * g)
-    rhs_after = (state_after.x_c - state_after.flows[active_ids] * g
-                 - gam_after + prev_flows[active_ids] * g)
+    rhs_before = (state_before.x_c - state_before.flows[active] * g
+                  - gam_before + prev_flows[active] * g)
+    rhs_after = (state_after.x_c - state_after.flows[active] * g
+                 - gam_after + prev_flows[active] * g)
     eps_l = (dt / (2.0 * ctrl.L)) * np.abs(rhs_after - rhs_before).max()
     return float(eps_c), float(eps_l)
 
 
-def adaptive_step(state, updates, sens, ctrl, dt_seed=None, dt_cap=None,
-                  prev_flows=None, sync=True):
-    """Take one accepted implicit step, shrinking the trial step until both
-    truncation-error estimates fall within ctrl.delta.
+def adaptive_step(state, updates, gam, sens, ctrl, dt, prev_flows, sync=True):
+    """Take one accepted implicit step from state, shrinking the trial step
+    dt until both truncation-error estimates fall within ctrl.delta.
 
-    The trial starts from dt_seed (or ctrl.dt0), grown by ctrl.growth but
-    never above ctrl.dt0 or dt_cap.  Returns (new_state, dt_used, backtracks,
-    eps_c, eps_l).  Raises StepControlError when max_backtracks trials all
-    exceed the tolerance.
+    gam is the resample at state.t_now; each trial resamples at its end.
+    Returns (new_state, new_gam, dt_used, backtracks, eps_c, eps_l), new_gam
+    being the resample at new_state.t_now.  Raises StepControlError when
+    max_backtracks trials all exceed the tolerance.
     """
-    dt = ctrl.dt0 if dt_seed is None else min(ctrl.dt0, dt_seed * ctrl.growth)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
+    active = sorted(updates)
     eps_c = eps_l = float("inf")
     for backtracks in range(ctrl.max_backtracks):
-        trial = be_step(state, updates, sens, ctrl, dt, prev_flows, sync)
-        eps_c, eps_l = lte(state, trial, updates, sens, ctrl, prev_flows, sync)
+        gam_trial = resample(updates, state.t_now + dt, sync)
+        trial = be_step(state, active, gam_trial, sens, ctrl, dt, prev_flows)
+        eps_c, eps_l = lte(state, trial, active, gam, gam_trial, sens, ctrl, prev_flows)
         worst = max(eps_c, eps_l)
         if worst <= ctrl.delta:
-            return trial, dt, backtracks, eps_c, eps_l
+            return trial, gam_trial, dt, backtracks, eps_c, eps_l
         dt = ctrl.safety * (ctrl.delta / worst) * dt
     raise StepControlError(
         f"no step within tolerance after {ctrl.max_backtracks} backtracks "
         f"(last dt={dt:.3e}, eps=({eps_c:.3e}, {eps_l:.3e}))", dt, eps_c, eps_l)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-accepted-step trace row."""
-
-    round_index: int
-    tau: float
-    dt: float
-    eps_c: float
-    eps_l: float
-    backtracks: int
-    norm_xc_change: float
-    global_loss: float
-
-
-_STEP_FIELDS = tuple(f.name for f in fields(StepRecord))
-_STEP_DTYPE = np.dtype([(f.name, np.int64 if f.type is int else np.float64)
-                        for f in fields(StepRecord)])
-
-
-def step_table(records):
-    """StepRecords as one record array, 64 bytes a step: its rows read like
-    StepRecord (`r.tau`, `r.eps_c`), and a run of thousands of steps keeps
-    no Python object per field."""
-    row = attrgetter(*_STEP_FIELDS)
-    return np.array([row(r) for r in records], dtype=_STEP_DTYPE).view(np.recarray)
+# one row per accepted step, 64 bytes each; rows read like records (`r.tau`)
+STEP_DTYPE = np.dtype([("round_index", np.int64), ("tau", np.float64), ("dt", np.float64),
+                       ("eps_c", np.float64), ("eps_l", np.float64),
+                       ("backtracks", np.int64), ("norm_xc_change", np.float64),
+                       ("global_loss", np.float64)])
 
 
 def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
@@ -279,13 +242,16 @@ def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
     [t_now, t_now + max(T_i)] over the active clients, by repeated adaptive
     implicit steps.
 
-    The flow values clients saw this round (state.flows at entry) stay
-    frozen as the previous-iterate term of every flow row.  Returns
-    (final_state, step_records, last_dt).  When state_sink is a list, the
-    entry state and every accepted sub-step state are appended to it as
-    (time, (flows, x_c)) pairs.  Raises StepControlError when the round takes
-    more than max_substeps steps, and up front when the window is too long for
-    that many steps of at most ctrl.dt0.
+    A step's first trial is the previous step (dt_seed, or none: ctrl.dt0)
+    grown by ctrl.growth, capped by ctrl.dt0 and the rest of the window.
+    The flow values clients saw this round (state.flows at entry) stay frozen
+    as the previous-iterate term of every flow row.  Returns (final_state,
+    records, last_dt), records holding one STEP_DTYPE row per accepted step.
+    When state_sink is a list, the entry state and every accepted sub-step
+    state are appended to it as (time, concat(flows.ravel(), x_c)) pairs.
+    Raises StepControlError when the round takes more than max_substeps
+    steps, and up front when the window is too long for that many steps of
+    at most ctrl.dt0.
     """
     if not updates:
         raise ValueError("need at least one client update")
@@ -298,34 +264,27 @@ def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
             f"of at most dt0={ctrl.dt0:g}; the trajectory is likely diverging",
             ctrl.dt0, float("nan"), float("nan"))
     prev_flows = state.flows.copy()
-    records = []
+    rows = []
     dt_last = dt_seed
+    gam = resample(updates, state.t_now, sync)
     if state_sink is not None:
-        state_sink.append((state.t_now, (state.flows.copy(), state.x_c.copy())))
+        state_sink.append((state.t_now, np.concatenate([state.flows.ravel(), state.x_c])))
     while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
-        cap = t_end - state.t_now
-        new_state, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, updates, sens, ctrl, dt_last, cap, prev_flows, sync)
-        records.append(StepRecord(
-            round_index=state.gs_iter,
-            tau=new_state.t_now,
-            dt=dt_used,
-            eps_c=eps_c,
-            eps_l=eps_l,
-            backtracks=backtracks,
-            norm_xc_change=float(np.linalg.norm(new_state.x_c - state.x_c)),
-            global_loss=float(loss_fn(new_state.x_c)) if loss_fn is not None else float("nan"),
-        ))
+        dt = ctrl.dt0 if dt_last is None else min(ctrl.dt0, dt_last * ctrl.growth)
+        new_state, gam, dt_last, backtracks, eps_c, eps_l = adaptive_step(
+            state, updates, gam, sens, ctrl, min(dt, t_end - state.t_now), prev_flows, sync)
+        rows.append((state.gs_iter, new_state.t_now, dt_last, eps_c, eps_l, backtracks,
+                     float(np.linalg.norm(new_state.x_c - state.x_c)),
+                     float(loss_fn(new_state.x_c)) if loss_fn is not None else float("nan")))
         state = new_state
-        dt_last = dt_used
         if state_sink is not None:
-            state_sink.append((state.t_now, (state.flows.copy(), state.x_c.copy())))
-        if len(records) > max_substeps:
+            state_sink.append((state.t_now, np.concatenate([state.flows.ravel(), state.x_c])))
+        if len(rows) > max_substeps:
             raise StepControlError(
                 f"round exceeded {max_substeps} substeps over a window of {span:g}; "
-                "the trajectory is likely diverging", dt_used, eps_c, eps_l)
+                "the trajectory is likely diverging", dt_last, eps_c, eps_l)
     state = replace(state, t_now=t_end, gs_iter=state.gs_iter + 1)
-    return state, records, dt_last
+    return state, np.array(rows, dtype=STEP_DTYPE).view(np.recarray), dt_last
 
 
 def steady_state_reached(state, prev_state, tol):

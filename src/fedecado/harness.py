@@ -28,13 +28,14 @@ from fedecado.clients import (
     simulate_local,
 )
 from fedecado.consensus import (
+    STEP_DTYPE,
     FlowState,
     StepController,
     StepControlError,
+    Trajectory,
     build_sensitivity,
     consensus_round,
     steady_state_reached,
-    step_table,
 )
 from fedecado.objectives import (
     LogisticObjective,
@@ -126,11 +127,28 @@ class ExperimentConfig:
         unknown = set(self.algo_params) - set(DEFAULT_ALGO_PARAMS)
         if unknown:
             raise ConfigError(f"unknown algo_params: {sorted(unknown)}")
+        if (self.partition.get("scheme", "iid") == "dirichlet"
+                and float(self.partition.get("alpha", 0.5)) <= 0):
+            raise ConfigError("partition.alpha must be > 0")
+        try:
+            _client_configs(self, np.ones(self.n_clients))
+        except ValueError as exc:
+            raise ConfigError(f"heterogeneity: {exc}") from exc
+        try:
+            self.controller()
+        except ValueError as exc:
+            raise ConfigError(f"algo_params: {exc}") from exc
         params = self.params()
         if params["mu"] < 0:
             raise ConfigError("algo_params.mu must be >= 0")
         if params["server_lr"] <= 0:
             raise ConfigError("algo_params.server_lr must be > 0")
+        if params["sensitivity_dt_ref"] <= 0:
+            raise ConfigError("algo_params.sensitivity_dt_ref must be > 0")
+        if params["sensitivity_refresh"] < 0:
+            raise ConfigError("algo_params.sensitivity_refresh must be >= 0")
+        if params["hessian_samples"] is not None and params["hessian_samples"] < 1:
+            raise ConfigError("algo_params.hessian_samples must be >= 1 or null")
 
     def params(self):
         merged = dict(DEFAULT_ALGO_PARAMS)
@@ -138,6 +156,12 @@ class ExperimentConfig:
         if merged["sensitivity_dt_ref"] is None:
             merged["sensitivity_dt_ref"] = merged["dt0"]
         return merged
+
+    def controller(self):
+        """The central step controller these algo_params describe."""
+        params = self.params()
+        return StepController(**{k: params[k] for k in (
+            "dt0", "delta", "L", "safety", "max_backtracks", "growth")})
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -172,8 +196,8 @@ class ExperimentResult:
     rounds_run: int
     final_x: np.ndarray
     metrics_rows: list
-    step_records: np.recarray  # consensus.StepRecord fields, one row per accepted step
-    flow_trace: list            # list of oracles.Trajectory when recorded
+    step_records: np.recarray  # consensus.STEP_DTYPE, one row per accepted step
+    flow_trace: list            # one consensus.Trajectory per round when recorded
     objectives: list
     weights: np.ndarray
     client_configs: list
@@ -322,9 +346,7 @@ def run_experiment(cfg):
 
     state = FlowState(x_init.copy(), np.zeros((cfg.n_clients, d)), 0.0, 0)
     held = np.tile(x_init, (cfg.n_clients, 1))
-    ctrl = StepController(dt0=params["dt0"], delta=params["delta"], L=params["L"],
-                          safety=params["safety"], max_backtracks=params["max_backtracks"],
-                          growth=params["growth"])
+    ctrl = cfg.controller()
     hess_rng = np.random.default_rng([int(cfg.seed), 1701])
 
     def curvatures(at_x):
@@ -332,12 +354,12 @@ def run_experiment(cfg):
                          for obj in objectives])
 
     # only FedECADO's central solve uses the curvature-based sensitivity model
-    sens = (build_sensitivity(weights, curvatures(x_init), params["sensitivity_dt_ref"],
-                              params["sensitivity_refresh"])
+    sens = (build_sensitivity(weights, curvatures(x_init), params["sensitivity_dt_ref"])
             if cfg.algo == "fedecado" else None)
+    refresh = params["sensitivity_refresh"]
 
     metrics_rows = []
-    step_tables = [step_table(())]   # one record array per round, joined at the end
+    step_tables = [np.empty(0, STEP_DTYPE)]   # one record array per round, joined at the end
     flow_trace = []
     status = "rounds_exhausted"
     reason = ""
@@ -355,11 +377,9 @@ def run_experiment(cfg):
                   if cfg.minibatch is not None else None)
         try:
             if cfg.algo == "fedecado":
-                if (sens.refresh_period and rnd > 0
-                        and rnd % sens.refresh_period == 0):
+                if refresh and rnd > 0 and rnd % refresh == 0:
                     sens = build_sensitivity(weights, curvatures(state.x_c),
-                                             params["sensitivity_dt_ref"],
-                                             params["sensitivity_refresh"])
+                                             params["sensitivity_dt_ref"])
                 updates = _simulate_active(cfg, objectives, configs, active, state, mb_rng)
                 sink = [] if cfg.record_flow_trace else None
                 # per-substep loss is only worth computing when a trace is kept
@@ -367,17 +387,14 @@ def run_experiment(cfg):
                 state, records, dt_seed = consensus_round(
                     state, updates, sens, ctrl, dt_seed, sync=params["sync"],
                     loss_fn=trace_loss, state_sink=sink)
-                step_tables.append(step_table(records))
-                round_dts = [r.dt for r in records]
-                round_backtracks = sum(r.backtracks for r in records)
+                step_tables.append(records)
+                round_dts = records.dt.tolist()
+                round_backtracks = int(records.backtracks.sum())
                 for i, upd in updates.items():
                     held[i] = upd.final_state
                 if cfg.record_flow_trace:
-                    from fedecado.oracles import Trajectory
-                    times = np.array([t for t, _ in sink])
-                    stacked = np.array([np.concatenate([fl.ravel(), xc])
-                                        for _, (fl, xc) in sink])
-                    flow_trace.append(Trajectory(times, stacked))
+                    times, states = zip(*sink)
+                    flow_trace.append(Trajectory(np.array(times), np.array(states)))
             else:
                 act_objs = [objectives[i] for i in active]
                 act_cfgs = [configs[i] for i in active]

@@ -1,30 +1,28 @@
 """Independent brute-force verifiers: analytic minimizers, the per-client
 weighted global objective, finite-difference derivatives, a dense reference
-solve for the central step, discounted trajectory norms, and the stability
-study that freezes the flow sign convention.  Everything here is
+solve for the central step, a central round that resamples afresh at both
+ends of every trial, discounted trajectory norms, and the stability study
+that freezes the flow sign convention.  Everything here is
 deliberately simple and separate from the code paths it checks."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from fedecado.clients import ClientUpdate
 from fedecado.consensus import (
+    STEP_DTYPE,
     FlowState,
     StepController,
+    StepControlError,
+    Trajectory,
     be_step,
     build_sensitivity,
     interp_state,
+    lte,
+    resample,
 )
 from fedecado.objectives import LogisticObjective, MlpObjective, make_blobs
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Bare (times, states) pair; states row-indexed by time."""
-
-    times: np.ndarray
-    states: np.ndarray
 
 
 def quadratic_minimizer(objectives, weights):
@@ -125,6 +123,40 @@ def dense_be_reference(state, updates, sens, ctrl, dt, prev_flows=None, sync=Tru
         raise np.linalg.LinAlgError(f"singular central system (cond={cond:.3e})")
     z = np.linalg.solve(A, b)
     return FlowState(z[n * d:], z[: n * d].reshape(n, d), tau_new, state.gs_iter)
+
+
+def reference_consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
+                              loss_fn=None):
+    """`consensus.consensus_round` without the carried resample: every trial
+    resamples each active client afresh, at its end for the step and at
+    both ends for the error estimate.  Same step policy and record rows; no
+    substep budget and no state sink."""
+    active = sorted(updates)
+
+    def fresh(tau):
+        return np.array([interp_state(updates[i], tau) if sync else updates[i].final_state
+                         for i in active])
+
+    t_end = state.t_now + max(u.window for u in updates.values())
+    prev_flows, rows, dt = state.flows.copy(), [], dt_seed
+    while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
+        dt = ctrl.dt0 if dt is None else min(ctrl.dt0, dt * ctrl.growth)
+        dt = min(dt, t_end - state.t_now)
+        for backtracks in range(ctrl.max_backtracks):
+            trial = be_step(state, active, fresh(state.t_now + dt), sens, ctrl, dt, prev_flows)
+            eps = lte(state, trial, active, fresh(state.t_now), fresh(trial.t_now), sens, ctrl,
+                      prev_flows)
+            if max(eps) <= ctrl.delta:
+                break
+            dt = ctrl.safety * (ctrl.delta / max(eps)) * dt
+        else:
+            raise StepControlError("no step within tolerance", dt, *eps)
+        rows.append((state.gs_iter, trial.t_now, dt, *eps, backtracks,
+                     float(np.linalg.norm(trial.x_c - state.x_c)),
+                     float(loss_fn(trial.x_c)) if loss_fn is not None else float("nan")))
+        state = trial
+    state = replace(state, t_now=t_end, gs_iter=state.gs_iter + 1)
+    return state, np.array(rows, dtype=STEP_DTYPE).view(np.recarray), dt
 
 
 @dataclass(frozen=True)
@@ -295,7 +327,7 @@ def _check_solver_equivalence(trials=20, seed=123):
             times = np.array([0.0, rng.uniform(0.05, 0.5)])
             states = rng.normal(size=(2, d))
             updates[i] = ClientUpdate(i, times, states, float(times[1]))
-        fast = be_step(state, updates, sens, ctrl, dt, prev)
+        fast = be_step(state, active, resample(updates, dt, True), sens, ctrl, dt, prev)
         ref = dense_be_reference(state, updates, sens, ctrl, dt, prev)
         worst = max(worst,
                     np.abs(fast.x_c - ref.x_c).max(),

@@ -13,6 +13,7 @@ from fedecado.consensus import (
     be_step,
     build_sensitivity,
     interp_state,
+    resample,
 )
 from fedecado.harness import ExperimentConfig, metrics_to_csv, run_experiment, trace_to_csv
 from fedecado.objectives import LogisticObjective, MlpObjective, make_blobs, random_quadratic
@@ -199,7 +200,7 @@ def test_criterion_5_solver_equivalence():
                                  float(rng.uniform(0.05, 1.0)))
         ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
         dt = float(rng.uniform(0.001, 0.5))
-        fast = be_step(state, updates, sens, ctrl, dt, prev)
+        fast = be_step(state, active, resample(updates, dt, True), sens, ctrl, dt, prev)
         ref = dense_be_reference(state, updates, sens, ctrl, dt, prev)
         worst = max(worst, np.abs(fast.x_c - ref.x_c).max(),
                     np.abs(fast.flows - ref.flows).max())

@@ -116,14 +116,6 @@ class TestClientUpdate:
         with pytest.raises(ValueError):
             ClientUpdate(0, np.array([0.0, 1.0]), np.zeros((2, 2)), 2.0)
 
-    def test_json_round_trip(self):
-        upd = ClientUpdate(4, np.array([0.0, 0.5, 1.0]),
-                           np.arange(6, dtype=float).reshape(3, 2), 1.0)
-        again = ClientUpdate.from_json(upd.to_json())
-        assert again.client_id == 4
-        np.testing.assert_allclose(again.times, upd.times)
-        np.testing.assert_allclose(again.states, upd.states)
-
 
 class TestHeterogeneity:
     def test_ranges(self):

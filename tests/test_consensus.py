@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedecado.consensus as consensus
 from fedecado.clients import ClientConfig, ClientUpdate, simulate_local
 from fedecado.consensus import (
     FlowState,
@@ -15,10 +16,11 @@ from fedecado.consensus import (
     consensus_round,
     interp_state,
     lte,
+    resample,
     steady_state_reached,
 )
 from fedecado.objectives import QuadraticObjective
-from fedecado.oracles import dense_be_reference, quadratic_minimizer
+from fedecado.oracles import dense_be_reference, quadratic_minimizer, reference_consensus_round
 
 
 def _update(times, states, cid=0):
@@ -124,7 +126,8 @@ class TestBeStep:
     def test_fixed_point_preserved(self):
         state, updates, sens = _fixed_point_setup(n=3, d=4)
         ctrl = StepController(L=0.7)
-        out = be_step(state, updates, sens, ctrl, dt=0.2)
+        out = be_step(state, sorted(updates), resample(updates, 0.2, True), sens, ctrl, 0.2,
+                      state.flows)
         np.testing.assert_allclose(out.x_c, state.x_c, atol=1e-14)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-14)
 
@@ -136,7 +139,7 @@ class TestBeStep:
         upd = _update([0.0, 1.0], np.array([[1.0], [2.0]]))
         sens = SensitivityModel(np.array([[np.inf]]))
         ctrl = StepController(L=L)
-        out = be_step(state, {0: upd}, sens, ctrl, dt=dt)
+        out = be_step(state, [0], resample({0: upd}, dt, True), sens, ctrl, dt, state.flows)
         gam = interp_state(upd, dt).item()
         lhs = np.array([[1.0, -dt / L], [dt, 1.0]])
         rhs = np.array([0.3 + (dt / L) * (-gam), 0.7])
@@ -153,7 +156,8 @@ class TestBeStep:
         sens = build_sensitivity(rng.uniform(0.1, 0.5, n), rng.uniform(0, 4, (n, d)), 0.2)
         ctrl = StepController(L=0.8)
         dt = 0.1
-        out = be_step(state, updates, sens, ctrl, dt, prev_flows=prev)
+        out = be_step(state, sorted(updates), resample(updates, dt, True), sens, ctrl, dt,
+                      prev_flows=prev)
         g = sens.inverse
         for i in range(n):
             gam = interp_state(updates[i], dt)
@@ -168,7 +172,8 @@ class TestBeStep:
         state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
         updates = {1: _update([0.0, 0.5], rng.normal(size=(2, d)), cid=1)}
         sens = build_sensitivity(np.full(n, 0.25), np.ones((n, d)), 0.1)
-        out = be_step(state, updates, sens, StepController(), dt=0.05)
+        out = be_step(state, [1], resample(updates, 0.05, True), sens, StepController(), 0.05,
+                      state.flows)
         for i in (0, 2, 3):
             np.testing.assert_array_equal(out.flows[i], state.flows[i])
         # held flows still drive the consensus row
@@ -191,7 +196,7 @@ class TestBeStep:
                                      float(rng.uniform(0.05, 1.0)))
             ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
             dt = float(rng.uniform(0.001, 0.5))
-            fast = be_step(state, updates, sens, ctrl, dt, prev)
+            fast = be_step(state, active, resample(updates, dt, True), sens, ctrl, dt, prev)
             ref = dense_be_reference(state, updates, sens, ctrl, dt, prev)
             worst = max(worst, np.abs(fast.x_c - ref.x_c).max(),
                         np.abs(fast.flows - ref.flows).max())
@@ -202,8 +207,10 @@ class TestLte:
     def test_zero_at_fixed_point(self):
         state, updates, sens = _fixed_point_setup(n=2, d=2)
         ctrl = StepController(L=0.5)
-        after = be_step(state, updates, sens, ctrl, dt=0.25)
-        eps_c, eps_l = lte(state, after, updates, sens, ctrl)
+        active, gam = sorted(updates), resample(updates, 0.25, True)
+        after = be_step(state, active, gam, sens, ctrl, 0.25, state.flows)
+        eps_c, eps_l = lte(state, after, active, resample(updates, 0.0, True), gam, sens, ctrl,
+                           state.flows)
         assert eps_c == pytest.approx(0.0, abs=1e-14)
         assert eps_l == pytest.approx(0.0, abs=1e-14)
 
@@ -233,7 +240,8 @@ class TestLte:
         updates = {i: _constant_update(x_c, cid=i) for i in range(n)}
         sens = build_sensitivity(np.full(n, 0.5), np.ones((n, d)), 0.1)
         ctrl = StepController(L=L)
-        eps_c, eps_l = lte(before, after, updates, sens, ctrl)
+        eps_c, eps_l = lte(before, after, sorted(updates), resample(updates, 0.0, True),
+                           resample(updates, dt, True), sens, ctrl, before.flows)
         assert eps_c == pytest.approx(0.5 * dt * delta)
         # rhs change is -delta * gain_inverse in that coordinate
         expected_l = dt / (2 * L) * delta * sens.inverse[1, 2]
@@ -244,7 +252,8 @@ class TestAdaptiveStep:
     def test_fixed_point_accepts_first_trial(self):
         state, updates, sens = _fixed_point_setup(n=2, d=2)
         ctrl = StepController(dt0=0.3, delta=1e-3)
-        out, dt_used, backtracks, eps_c, eps_l = adaptive_step(state, updates, sens, ctrl)
+        out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
+            state, updates, resample(updates, 0.0, True), sens, ctrl, ctrl.dt0, state.flows)
         assert backtracks == 0
         assert dt_used == pytest.approx(0.3)
         assert max(eps_c, eps_l) == pytest.approx(0.0, abs=1e-14)
@@ -256,10 +265,12 @@ class TestAdaptiveStep:
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         sens = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2, safety=0.9)
-        trial = be_step(state, {0: upd}, sens, ctrl, ctrl.dt0)
-        eps0 = max(*lte(state, trial, {0: upd}, sens, ctrl))
+        gam0, gam1 = resample({0: upd}, 0.0, True), resample({0: upd}, ctrl.dt0, True)
+        trial = be_step(state, [0], gam1, sens, ctrl, ctrl.dt0, state.flows)
+        eps0 = max(*lte(state, trial, [0], gam0, gam1, sens, ctrl, state.flows))
         assert eps0 > ctrl.delta  # the constructed instance must force a retry
-        out, dt_used, backtracks, eps_c, eps_l = adaptive_step(state, {0: upd}, sens, ctrl)
+        out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
+            state, {0: upd}, gam0, sens, ctrl, ctrl.dt0, state.flows)
         assert backtracks >= 1
         if backtracks == 1:
             assert dt_used == pytest.approx(ctrl.safety * (ctrl.delta / eps0) * ctrl.dt0)
@@ -272,7 +283,8 @@ class TestAdaptiveStep:
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         sens = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2)
-        _, _, backtracks, _, _ = adaptive_step(state, {0: upd}, sens, ctrl)
+        _, _, _, backtracks, _, _ = adaptive_step(
+            state, {0: upd}, resample({0: upd}, 0.0, True), sens, ctrl, ctrl.dt0, state.flows)
         assert backtracks == 1
 
     def test_exhaustion_raises_with_diagnostics(self):
@@ -282,7 +294,8 @@ class TestAdaptiveStep:
         # one trial allowed and a tolerance the first trial cannot meet
         ctrl = StepController(dt0=0.5, delta=1e-9, max_backtracks=1, L=0.2)
         with pytest.raises(StepControlError) as err:
-            adaptive_step(state, {0: upd}, sens, ctrl)
+            adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), sens, ctrl, ctrl.dt0,
+                          state.flows)
         assert err.value.dt > 0
         assert max(err.value.eps_c, err.value.eps_l) > 1e-9
 
@@ -362,6 +375,81 @@ class TestConsensusRound:
         assert sink[-1][0] == pytest.approx(out.t_now)
 
 
+def _random_round(rng, n, n_active, d, delta, t0=0.0):
+    """A central round over n clients, n_active of them active, each active
+    client with its own step size and step count (so windows differ)."""
+    active = sorted(rng.choice(n, n_active, replace=False).tolist())
+    updates = {}
+    for i in active:
+        k, lr = int(rng.integers(1, 6)), float(rng.uniform(0.005, 0.03))
+        updates[i] = ClientUpdate(i, t0 + lr * np.arange(k + 1),
+                                  rng.normal(size=(k + 1, d)), k * lr)
+    state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), t0, 0)
+    sens = build_sensitivity(rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 5.0, (n, d)), 0.05)
+    ctrl = StepController(dt0=0.05, delta=delta, L=float(rng.uniform(0.05, 1.0)))
+    return state, updates, sens, ctrl
+
+
+def _same_round(fast, ref):
+    (state, records, dt_last), (ref_state, ref_records, ref_dt_last) = fast, ref
+    assert records.tobytes() == ref_records.tobytes()
+    assert state.x_c.tobytes() == ref_state.x_c.tobytes()
+    assert state.flows.tobytes() == ref_state.flows.tobytes()
+    assert (state.t_now, state.gs_iter, dt_last) == (ref_state.t_now, ref_state.gs_iter,
+                                                     ref_dt_last)
+
+
+class TestCarriedResample:
+    """consensus_round resamples at t_now once per round and carries each
+    accepted trial's resample into the next step; the oracle resamples afresh
+    at both ends of every trial.  The two must agree bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), d=st.integers(1, 3),
+           sync=st.booleans(), delta=st.sampled_from([1e-1, 1e-2, 1e-3]),
+           t0=st.floats(0.0, 5.0), dt_seed=st.one_of(st.none(), st.floats(1e-3, 0.05)))
+    def test_matches_fresh_resample_reference(self, seed, n, d, sync, delta, t0, dt_seed):
+        rng = np.random.default_rng(seed)
+        n_active = int(rng.integers(1, n + 1))
+        state, updates, sens, ctrl = _random_round(rng, n, n_active, d, delta, t0)
+
+        def loss(x):
+            return float(x @ x)
+
+        try:
+            fast = consensus_round(state, updates, sens, ctrl, dt_seed, sync, loss)
+        except StepControlError:
+            with pytest.raises(StepControlError):
+                reference_consensus_round(state, updates, sens, ctrl, dt_seed, sync, loss)
+            return
+        _same_round(fast, reference_consensus_round(state, updates, sens, ctrl, dt_seed,
+                                                    sync, loss))
+
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_backtracking_round_with_inactive_clients(self, sync):
+        state, updates, sens, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
+        assert len({u.window for u in updates.values()}) > 1
+        fast = consensus_round(state, updates, sens, ctrl, sync=sync)
+        assert fast[1].backtracks.sum() > 0
+        _same_round(fast, reference_consensus_round(state, updates, sens, ctrl, sync=sync))
+
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_interp_calls_per_round(self, monkeypatch, sync):
+        calls = []
+        interp = consensus.interp_state
+
+        def counting(update, tau):
+            calls.append(tau)
+            return interp(update, tau)
+
+        monkeypatch.setattr(consensus, "interp_state", counting)
+        state, updates, sens, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
+        _, records, _ = consensus_round(state, updates, sens, ctrl, sync=sync)
+        trials = len(records) + int(records.backtracks.sum())
+        assert trials > len(records)
+        assert len(calls) == (len(updates) * (trials + 1) if sync else 0)
+
+
 class TestSteadyState:
     def test_identical_states(self):
         s = FlowState(np.ones(3), np.zeros((2, 3)), 0.0, 0)
@@ -379,13 +467,6 @@ class TestSteadyState:
 
 
 class TestFlowStateType:
-    def test_json_round_trip(self):
-        s = FlowState(np.array([1.0, 2.0]), np.array([[0.1, 0.2], [0.3, 0.4]]), 1.5, 7)
-        again = FlowState.from_json(s.to_json())
-        np.testing.assert_allclose(again.x_c, s.x_c)
-        np.testing.assert_allclose(again.flows, s.flows)
-        assert again.t_now == s.t_now and again.gs_iter == s.gs_iter
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             FlowState(np.array([np.inf]), np.zeros((1, 1)), 0.0, 0)

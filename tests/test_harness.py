@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 import fedecado.harness as harness
 from fedecado.cli import main as cli_main
-from fedecado.consensus import StepRecord, step_table
+from fedecado.consensus import STEP_DTYPE
 from fedecado.harness import (
     ConfigError,
     ExperimentConfig,
@@ -332,6 +332,32 @@ class TestCli:
         result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
         assert result.exit_code == 1
         assert "error:" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("section,override", [
+        ("algo_params", {"L": 0}),
+        ("algo_params", {"dt0": -1}),
+        ("algo_params", {"growth": 0.5}),
+        ("algo_params", {"max_backtracks": 0}),
+        ("algo_params", {"sensitivity_dt_ref": 0}),
+        ("algo_params", {"hessian_samples": 0}),
+        ("algo_params", {"sensitivity_refresh": -3}),
+        ("heterogeneity", {"mode": "fixed", "lr": 0}),
+        ("heterogeneity", {"mode": "fixed", "epochs": 0}),
+        ("heterogeneity", {"mode": "random", "lr_min": 1e-3, "lr_max": 1e-4}),
+        ("heterogeneity", {"mode": "random", "epochs_min": 5, "epochs_max": 2}),
+        ("partition", {"scheme": "dirichlet", "alpha": 0}),
+    ])
+    def test_run_bad_config_fields_exit_one(self, tmp_path, section, override):
+        path = tmp_path / "bad.json"
+        fields = json.loads(quad_config().to_json())
+        fields[section] = override
+        path.write_text(json.dumps(fields))
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert "error:" in result.stderr and section in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("make_config,minibatch",
                              [(quad_config, 4), (logistic_config, 0)])
@@ -426,14 +452,15 @@ def test_fedecado_beats_initial_loss_on_quadratic():
 
 
 def test_step_table_reads_and_prints_like_step_records():
-    records = [StepRecord(0, 0.0105, 0.0105, 1e-3, 2.5e-7, 0, 0.75, float("nan")),
-               StepRecord(4099, 1.0 / 3.0, 1e-300, 0.0, 9.999e-3, 40, 1e15, 12.516230)]
-    table = step_table(records)
-    assert len(table) == 2 and len(step_table(())) == 0
-    for rec, row in zip(records, table):
-        assert (row.round_index, row.backtracks) == (rec.round_index, rec.backtracks)
-        np.testing.assert_array_equal([row.tau, row.dt, row.eps_c, row.eps_l,
-                                       row.norm_xc_change, row.global_loss],
-                                      [rec.tau, rec.dt, rec.eps_c, rec.eps_l,
-                                       rec.norm_xc_change, rec.global_loss])
-    assert trace_to_csv(table) == trace_to_csv(records)
+    # two extreme rows, as consensus_round writes them; the text is what the
+    # per-step record objects printed before the record array replaced them
+    table = np.array([(0, 0.0105, 0.0105, 1e-3, 2.5e-7, 0, 0.75, float("nan")),
+                      (4099, 1.0 / 3.0, 1e-300, 0.0, 9.999e-3, 40, 1e15, 12.516230)],
+                     dtype=STEP_DTYPE).view(np.recarray)
+    assert (table[1].round_index, table[1].backtracks, table[1].tau) == (4099, 40, 1.0 / 3.0)
+    assert trace_to_csv(table) == (
+        "round,tau,dt,eps_c,eps_l,backtracks,norm_xc_change,global_loss\n"
+        "0,0.0105,0.0105,0.001,2.5e-07,0,0.75,nan\n"
+        "4099,0.333333333333,1e-300,0,0.009999,40,1e+15,12.51623\n")
+    assert trace_to_csv(np.empty(0, STEP_DTYPE).view(np.recarray)) == (
+        "round,tau,dt,eps_c,eps_l,backtracks,norm_xc_change,global_loss\n")

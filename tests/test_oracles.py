@@ -189,9 +189,8 @@ def test_coupling_strength_speeds_contraction():
                                          t_start=state.t_now) for i in range(3)}
             sink = []
             state, _, _ = consensus_round(state, updates, sens, ctrl, state_sink=sink)
-            times = np.array([t for t, _ in sink])
-            stacked = np.array([np.concatenate([fl.ravel(), xc]) for _, (fl, xc) in sink])
-            rounds.append(Trajectory(times, stacked))
+            times, states = zip(*sink)
+            rounds.append(Trajectory(np.array(times), np.array(states)))
         ratios = contraction_ratio(rounds, x_star, flows_star)
         return float(np.median(ratios[5:]))
 
