@@ -1,9 +1,9 @@
 """Command-line interface: run experiments, materialize partitions, join
 metrics across configs, and run the verification suite."""
 
-import json
 import os
 import sys
+from dataclasses import replace
 
 import click
 
@@ -21,18 +21,6 @@ def main():
     """Federated learning simulator with a continuous-time consensus core."""
 
 
-def _load_config(path, seed=None, out=None, algo=None):
-    cfg = ExperimentConfig.from_file(path)
-    if seed is not None:
-        cfg.seed = seed
-    if out is not None:
-        cfg.out_dir = out
-    if algo is not None:
-        cfg.algo = algo
-    cfg.validate()
-    return cfg
-
-
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
@@ -42,7 +30,9 @@ def run(config_path, seed, out, algo):
     """Run one experiment; exit 0 on convergence, 2 on exhausting the round
     budget, 1 on error or divergence."""
     try:
-        cfg = _load_config(config_path, seed, out, algo)
+        overrides = {"seed": seed, "out_dir": out, "algo": algo}
+        cfg = replace(ExperimentConfig.from_file(config_path),
+                      **{k: v for k, v in overrides.items() if v is not None})
         result = run_experiment(cfg)
     except (ConfigError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -61,11 +51,11 @@ def run(config_path, seed, out, algo):
 def partition(config_path, out_path):
     """Materialize the config's data partition as JSON."""
     try:
-        cfg = _load_config(config_path)
+        cfg = ExperimentConfig.from_file(config_path)
         if cfg.objective["kind"] == "quadratic":
             raise ConfigError("quadratic objectives have no sample partition")
         _, part = partitioned_dataset(cfg)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -82,7 +72,7 @@ def compare(configs, out_path):
     rows_out = []
     for path in configs:
         try:
-            cfg = _load_config(path)
+            cfg = ExperimentConfig.from_file(path)
             result = run_experiment(cfg)
         except (ConfigError, OSError) as exc:
             click.echo(f"error in {path}: {exc}", err=True)
@@ -105,12 +95,9 @@ def verify():
     from fedecado.oracles import run_verification
     results = run_verification()
     click.echo(f"1..{len(results)}")
-    failed = 0
     for idx, (name, ok, detail) in enumerate(results, start=1):
-        mark = "ok" if ok else "not ok"
-        failed += 0 if ok else 1
-        click.echo(f"{mark} {idx} - {name}: {detail}")
-    sys.exit(0 if failed == 0 else 1)
+        click.echo(f"{'ok' if ok else 'not ok'} {idx} - {name}: {detail}")
+    sys.exit(0 if all(ok for _, ok, _ in results) else 1)
 
 
 if __name__ == "__main__":

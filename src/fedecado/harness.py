@@ -1,5 +1,8 @@
-"""Experiment orchestration: config parsing, seeded instance construction,
+"""Experiment orchestration: config checking, seeded instance construction,
 the round loop for every algorithm, and deterministic metrics output.
+
+Building a config checks every field against one schema and replaces each
+section dict by its completed copy, so the readers index it directly.
 
 A run is a pure function of its config (seed included): instance data,
 client sampling, heterogeneity draws and minibatch draws all derive from the
@@ -16,7 +19,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -55,20 +58,87 @@ class ConfigError(ValueError):
 
 ALGOS = ("fedecado", "fedavg", "fedprox", "fednova")
 
-DEFAULT_ALGO_PARAMS = {
-    "L": 1.0,
-    "delta": 1e-3,
-    "dt0": 1e-2,
-    "safety": 0.9,
-    "max_backtracks": 40,
-    "growth": 2.0,
-    "sensitivity_dt_ref": None,   # defaults to dt0
-    "sensitivity_refresh": 0,
-    "hessian_samples": 64,
-    "sync": True,                 # False replays raw final states (no resampling)
-    "mu": 0.01,
-    "server_lr": 1.0,
+# The config schema.  A field is (type, default, bound): `T | None` also takes
+# null, a float takes an int and stores it as a float, and a bound is a test on
+# the value and the section checked so far, with its text.  A tagged section
+# is (tag key, default tag, fields per tag).
+_GT0, _GE0, _GE1 = ((lambda v, s: v > 0, "> 0"), (lambda v, s: v >= 0, ">= 0"),
+                    (lambda v, s: v >= 1, ">= 1"))
+_BLOBS = {"n_samples": (int, 2000, _GE1),    # >= n_clients, checked with the dataset
+          "n_features": (int, 5, _GE1), "n_classes": (int, 10, (lambda v, s: v >= 2, ">= 2")),
+          "center_scale": (float, 2.0, None),
+          "csv": (str | None, None, None)}   # a CSV dataset, used in place of the blobs
+_SECTIONS = {
+    "objective": ("kind", None, {
+        "quadratic": {"dim": (int, 20, _GE1), "eig_min": (float, 1.0, _GT0),
+                      "eig_max": (float, 10.0, (lambda v, s: v >= s["eig_min"], ">= eig_min")),
+                      "center_scale": (float, 1.0, None)},
+        "logistic": _BLOBS, "mlp": {**_BLOBS, "hidden": (int, 8, _GE1)}}),
+    "partition": ("scheme", "iid", {"iid": {}, "dirichlet": {"alpha": (float, 0.5, _GT0)}}),
+    # ClientConfig and sample_heterogeneity check the lr and epochs ranges
+    "heterogeneity": ("mode", "fixed", {
+        "fixed": {"lr": (float, 1e-3, None), "epochs": (int, 5, None)},
+        "random": {"lr_min": (float, 1e-4, None), "lr_max": (float, 1e-3, None),
+                   "epochs_min": (int, 1, None), "epochs_max": (int, 10, None)}}),
+    # StepController checks the first six fields.  A null sensitivity_dt_ref
+    # is dt0, a null hessian_samples takes every sample, and sync false
+    # replays the raw final states (no resampling).
+    "algo_params": {
+        "L": (float, 1.0, None), "delta": (float, 1e-3, None), "dt0": (float, 1e-2, None),
+        "safety": (float, 0.9, None), "max_backtracks": (int, 40, None),
+        "growth": (float, 2.0, None), "sensitivity_dt_ref": (float | None, None, _GT0),
+        "sensitivity_refresh": (int, 0, _GE0), "hessian_samples": (int | None, 64, _GE1),
+        "sync": (bool, True, None), "mu": (float, 0.01, _GE0), "server_lr": (float, 1.0, _GT0)},
 }
+# bounds of the top-level fields, whose types and defaults are ExperimentConfig's
+_BOUNDS = {
+    "n_clients": _GE1, "seed": _GE0, "rounds_max": _GE1, "tol": _GT0,
+    "algo": (lambda v, c: v in ALGOS, "one of " + " | ".join(ALGOS)),
+    "participation_ratio": (lambda v, c: 0 < v <= 1 and round(v * c["n_clients"]) >= 1,
+                            "in (0, 1] and leave at least one client active"),
+    "minibatch": (lambda v, c: v >= 1 and c["objective"]["kind"] != "quadratic",
+                  ">= 1, with a dataset objective (logistic | mlp)")}
+_TYPE_TEXT = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _bad(path, want, value):
+    return ConfigError(f"{path} must be {want}, got {json.dumps(value, default=repr)}")
+
+
+def _value(path, value, kind, bound, section):
+    """`value` checked against its field's type and bound."""
+    base = getattr(kind, "__args__", (kind,))[0]     # T of `T | None`
+    if value is None and base is not kind:
+        return None
+    if base is float and type(value) is int and abs(value) <= float(np.finfo(float).max):
+        value = float(value)
+    if (isinstance(value, bool) != (base is bool) or not isinstance(value, base)
+            or base is float and not np.isfinite(value)):
+        raise _bad(path, _TYPE_TEXT[base] + " or null" * (base is not kind), value)
+    if bound and not bound[0](value, section):
+        raise _bad(path, bound[1], value)
+    return value
+
+
+def _checked(path, given, schema):
+    """The section `given`, checked and completed with its schema's defaults."""
+    if not isinstance(given, dict):
+        raise _bad(path, "a JSON object", given)
+    if isinstance(schema, tuple):
+        tag, default_tag, variants = schema
+        choice = {tag: default_tag, **given}[tag]
+        if choice not in tuple(variants):
+            raise _bad(f"{path}.{tag}", "one of " + " | ".join(variants), choice)
+        schema = {tag: (str, choice, None), **variants[choice]}
+    unknown = sorted(set(given) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key {path}.{unknown[0]}")
+    complete = {key: default for key, (_, default, _) in schema.items()} | given
+    done = {}
+    for key, (kind, _, bound) in schema.items():
+        done[key] = _value(f"{path}.{key}", complete[key], kind, bound, done)
+    return done
+
 
 METRICS_COLUMNS = ("round", "wall_ms", "global_loss", "grad_norm", "consensus_gap",
                    "accuracy", "dt_min", "dt_mean", "dt_max", "backtracks")
@@ -78,89 +148,46 @@ TRACE_COLUMNS = ("round", "tau", "dt", "eps_c", "eps_l", "backtracks",
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; building it checks and completes every field."""
+
     objective: dict
     n_clients: int
     algo: str = "fedecado"
     name: str = "run"
     seed: int = 0
     participation_ratio: float = 1.0
-    partition: dict = field(default_factory=lambda: {"scheme": "iid"})
-    heterogeneity: dict = field(default_factory=lambda: {"mode": "fixed", "lr": 1e-3, "epochs": 5})
+    partition: dict = field(default_factory=dict)
+    heterogeneity: dict = field(default_factory=dict)
     algo_params: dict = field(default_factory=dict)
     rounds_max: int = 100
     tol: float = 1e-6
-    minibatch: int = None
-    record: str = "steps"
+    minibatch: int | None = None
     wall_clock: bool = False
     record_flow_trace: bool = False
-    out_dir: str = None
+    out_dir: str | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        if self.algo not in ALGOS:
-            raise ConfigError(f"algo must be one of {ALGOS}, got {self.algo!r}")
-        if self.n_clients < 1:
-            raise ConfigError("n_clients must be >= 1")
-        if not (0.0 < self.participation_ratio <= 1.0):
-            raise ConfigError("participation_ratio must be in (0, 1]")
-        if round(self.participation_ratio * self.n_clients) < 1:
-            raise ConfigError("participation_ratio * n_clients rounds to zero clients")
-        if self.rounds_max < 1:
-            raise ConfigError("rounds_max must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be > 0")
-        if self.objective.get("kind") not in ("quadratic", "logistic", "mlp"):
-            raise ConfigError("objective.kind must be quadratic | logistic | mlp")
-        if self.minibatch is not None:
-            if self.objective["kind"] == "quadratic":
-                raise ConfigError("minibatch needs a dataset objective (logistic | mlp)")
-            if self.minibatch < 1:
-                raise ConfigError("minibatch must be >= 1")
-        if self.partition.get("scheme", "iid") not in ("iid", "dirichlet"):
-            raise ConfigError("partition.scheme must be iid | dirichlet")
-        if self.heterogeneity.get("mode", "fixed") not in ("fixed", "random"):
-            raise ConfigError("heterogeneity.mode must be fixed | random")
-        if self.record not in ("steps", "endpoints"):
-            raise ConfigError("record must be steps | endpoints")
-        unknown = set(self.algo_params) - set(DEFAULT_ALGO_PARAMS)
-        if unknown:
-            raise ConfigError(f"unknown algo_params: {sorted(unknown)}")
-        if (self.partition.get("scheme", "iid") == "dirichlet"
-                and float(self.partition.get("alpha", 0.5)) <= 0):
-            raise ConfigError("partition.alpha must be > 0")
-        try:
-            _client_configs(self, np.ones(self.n_clients))
-        except ValueError as exc:
-            raise ConfigError(f"heterogeneity: {exc}") from exc
-        try:
-            self.controller()
-        except ValueError as exc:
-            raise ConfigError(f"algo_params: {exc}") from exc
-        params = self.params()
-        if params["mu"] < 0:
-            raise ConfigError("algo_params.mu must be >= 0")
-        if params["server_lr"] <= 0:
-            raise ConfigError("algo_params.server_lr must be > 0")
-        if params["sensitivity_dt_ref"] <= 0:
-            raise ConfigError("algo_params.sensitivity_dt_ref must be > 0")
-        if params["sensitivity_refresh"] < 0:
-            raise ConfigError("algo_params.sensitivity_refresh must be >= 0")
-        if params["hessian_samples"] is not None and params["hessian_samples"] < 1:
-            raise ConfigError("algo_params.hessian_samples must be >= 1 or null")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            setattr(self, f.name, _checked(f.name, value, _SECTIONS[f.name])
+                    if f.name in _SECTIONS else
+                    _value(f.name, value, f.type, _BOUNDS.get(f.name), vars(self)))
+        if self.algo_params["sensitivity_dt_ref"] is None:
+            self.algo_params["sensitivity_dt_ref"] = self.algo_params["dt0"]
+        for section, build in (
+                ("heterogeneity", lambda: _client_configs(self, np.ones(self.n_clients))),
+                ("algo_params", self.controller)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
 
     def params(self):
-        merged = dict(DEFAULT_ALGO_PARAMS)
-        merged.update(self.algo_params)
-        if merged["sensitivity_dt_ref"] is None:
-            merged["sensitivity_dt_ref"] = merged["dt0"]
-        return merged
+        return self.algo_params
 
     def controller(self):
         """The central step controller these algo_params describe."""
-        params = self.params()
-        return StepController(**{k: params[k] for k in (
+        return StepController(**{k: self.algo_params[k] for k in (
             "dt0", "delta", "L", "safety", "max_backtracks", "growth")})
 
     def to_json(self):
@@ -174,13 +201,9 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             return cls(**obj)
-        except TypeError as exc:
+        except TypeError as exc:     # a missing or unknown field
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -221,17 +244,19 @@ def partitioned_dataset(cfg):
     """The global dataset of a logistic or MLP config and its client
     partition."""
     spec = cfg.objective
-    if spec.get("csv"):
-        dataset = load_csv_dataset(spec["csv"])
+    if spec["csv"] is None:
+        dataset = make_blobs(spec["n_samples"], spec["n_features"], spec["n_classes"],
+                             seed=cfg.seed, center_scale=spec["center_scale"])
     else:
-        dataset = make_blobs(int(spec.get("n_samples", 2000)),
-                             int(spec.get("n_features", 5)),
-                             int(spec.get("n_classes", 10)),
-                             seed=cfg.seed,
-                             center_scale=float(spec.get("center_scale", 2.0)))
-    if cfg.partition.get("scheme", "iid") == "dirichlet":
-        part = dirichlet_partition(dataset.labels, cfg.n_clients,
-                                   float(cfg.partition.get("alpha", 0.5)), cfg.seed)
+        try:
+            dataset = load_csv_dataset(spec["csv"])
+        except ValueError as exc:
+            raise ConfigError(f"objective.csv: {exc}") from exc
+    if len(dataset) < cfg.n_clients:
+        raise ConfigError(f"objective.{'n_samples' if spec['csv'] is None else 'csv'} gives "
+                          f"{len(dataset)} samples, fewer than n_clients ({cfg.n_clients})")
+    if cfg.partition["scheme"] == "dirichlet":
+        part = dirichlet_partition(dataset.labels, cfg.n_clients, cfg.partition["alpha"], cfg.seed)
     else:
         part = iid_partition(len(dataset), cfg.n_clients, cfg.seed)
     return dataset, part
@@ -242,18 +267,12 @@ def _build_instance(cfg):
     global objective."""
     spec = cfg.objective
     kind = spec["kind"]
-    scheme = cfg.partition.get("scheme", "iid")
     if kind == "quadratic":
-        rng = np.random.default_rng([int(cfg.seed), 1101])
-        dim = int(spec.get("dim", 20))
-        eig_min = float(spec.get("eig_min", 1.0))
-        eig_max = float(spec.get("eig_max", 10.0))
-        center_scale = float(spec.get("center_scale", 1.0))
-        objectives = [random_quadratic(dim, rng, eig_min, eig_max, center_scale)
-                      for _ in range(cfg.n_clients)]
-        if scheme == "dirichlet":
-            weights = dirichlet_weights(cfg.n_clients, float(cfg.partition.get("alpha", 0.5)),
-                                        cfg.seed)
+        rng = np.random.default_rng([cfg.seed, 1101])
+        objectives = [random_quadratic(spec["dim"], rng, spec["eig_min"], spec["eig_max"],
+                                       spec["center_scale"]) for _ in range(cfg.n_clients)]
+        if cfg.partition["scheme"] == "dirichlet":
+            weights = dirichlet_weights(cfg.n_clients, cfg.partition["alpha"], cfg.seed)
         else:
             weights = np.full(cfg.n_clients, 1.0 / cfg.n_clients)
         return objectives, weights, weighted_sum(objectives, weights)
@@ -263,21 +282,17 @@ def _build_instance(cfg):
     if kind == "logistic":
         objectives = [LogisticObjective(s) for s in shards]
     else:
-        objectives = [MlpObjective(s, hidden=int(spec.get("hidden", 8))) for s in shards]
+        objectives = [MlpObjective(s, hidden=spec["hidden"]) for s in shards]
     return objectives, part.weights, weighted_sum(objectives, part.weights)
 
 
 def _client_configs(cfg, weights):
     het = cfg.heterogeneity
-    if het.get("mode", "fixed") == "fixed":
-        return [ClientConfig(i, float(het.get("lr", 1e-3)), int(het.get("epochs", 5)),
-                             float(weights[i]))
+    if het["mode"] == "fixed":
+        return [ClientConfig(i, het["lr"], het["epochs"], float(weights[i]))
                 for i in range(cfg.n_clients)]
-    return sample_heterogeneity(
-        cfg.n_clients, cfg.seed,
-        lr_range=(float(het.get("lr_min", 1e-4)), float(het.get("lr_max", 1e-3))),
-        epoch_range=(int(het.get("epochs_min", 1)), int(het.get("epochs_max", 10))),
-        weights=weights)
+    return sample_heterogeneity(cfg.n_clients, cfg.seed, (het["lr_min"], het["lr_max"]),
+                                (het["epochs_min"], het["epochs_max"]), weights)
 
 
 def _initial_point(cfg, objectives):
@@ -285,7 +300,7 @@ def _initial_point(cfg, objectives):
     if cfg.objective["kind"] != "mlp":
         return np.zeros(obj.dim)
     # scaled random init: tanh layers start in their active range
-    rng = np.random.default_rng([int(cfg.seed), 1301])
+    rng = np.random.default_rng([cfg.seed, 1301])
     m, h, k = obj.n_features, obj.hidden, obj.n_classes
     w1 = rng.normal(size=(m, h)) * np.sqrt(2.0 / m)
     w2 = rng.normal(size=(h, k)) * np.sqrt(2.0 / h)
@@ -322,15 +337,6 @@ def trace_to_csv(records):
     return buf.getvalue()
 
 
-def _simulate_active(cfg, objectives, configs, active, state, rng):
-    """Run the active clients' local windows in order; each one starts from
-    the downloaded consensus state with its stored flow."""
-    return {int(i): simulate_local(objectives[i], configs[i], state.x_c, -state.flows[i],
-                                   t_start=state.t_now, record=cfg.record,
-                                   minibatch=cfg.minibatch, rng=rng)
-            for i in active}
-
-
 def run_experiment(cfg):
     """Execute one experiment to convergence, round budget, or divergence.
 
@@ -347,7 +353,7 @@ def run_experiment(cfg):
     state = FlowState(x_init.copy(), np.zeros((cfg.n_clients, d)), 0.0, 0)
     held = np.tile(x_init, (cfg.n_clients, 1))
     ctrl = cfg.controller()
-    hess_rng = np.random.default_rng([int(cfg.seed), 1701])
+    hess_rng = np.random.default_rng([cfg.seed, 1701])
 
     def curvatures(at_x):
         return np.array([obj.mean_hessian(at_x, params["hessian_samples"], hess_rng)
@@ -373,14 +379,18 @@ def run_experiment(cfg):
         round_backtracks = 0
         prev_state = state
         # one minibatch stream per round; the active clients draw from it in order
-        mb_rng = (np.random.default_rng([int(cfg.seed), 7001, rnd])
+        mb_rng = (np.random.default_rng([cfg.seed, 7001, rnd])
                   if cfg.minibatch is not None else None)
         try:
             if cfg.algo == "fedecado":
                 if refresh and rnd > 0 and rnd % refresh == 0:
                     sens = build_sensitivity(weights, curvatures(state.x_c),
                                              params["sensitivity_dt_ref"])
-                updates = _simulate_active(cfg, objectives, configs, active, state, mb_rng)
+                # each active client starts from the downloaded state with its stored flow
+                updates = {int(i): simulate_local(objectives[i], configs[i], state.x_c,
+                                                  -state.flows[i], t_start=state.t_now,
+                                                  minibatch=cfg.minibatch, rng=mb_rng)
+                           for i in active}
                 sink = [] if cfg.record_flow_trace else None
                 # per-substep loss is only worth computing when a trace is kept
                 trace_loss = global_obj.loss if cfg.out_dir else None

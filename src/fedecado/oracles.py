@@ -3,7 +3,9 @@ weighted global objective, finite-difference derivatives, a dense reference
 solve for the central step, a central round that resamples afresh at both
 ends of every trial, discounted trajectory norms, and the stability study
 that freezes the flow sign convention.  Everything here is
-deliberately simple and separate from the code paths it checks."""
+deliberately simple and separate from the code paths it checks.  The
+randomized checks that the acceptance tests and `fedecado verify` share live
+here too, once each."""
 
 from dataclasses import dataclass, replace
 
@@ -22,7 +24,7 @@ from fedecado.consensus import (
     lte,
     resample,
 )
-from fedecado.objectives import LogisticObjective, MlpObjective, make_blobs
+from fedecado.objectives import LogisticObjective, MlpObjective, make_blobs, random_quadratic
 
 
 def quadratic_minimizer(objectives, weights):
@@ -301,6 +303,93 @@ def verify_sign_convention(curvatures=(0.1, 1.0, 10.0), inductances=(0.05, 1.0),
 
 
 # ---------------------------------------------------------------------------
+# Checks shared by the acceptance tests and the `verify` subcommand: each one
+# draws `trials` random instances from `seed` and returns what it measured.
+# ---------------------------------------------------------------------------
+
+def interp_algebra(seed, trials):
+    """The largest additivity/homogeneity gap of `interp_state`, inside and
+    beyond the recorded span, and the number of order or constant
+    violations inside it."""
+    rng = np.random.default_rng(seed)
+    worst_lin = 0.0
+    violations = 0
+    for _ in range(trials):
+        k = int(rng.integers(2, 7))
+        # keep checkpoint gaps bounded away from zero so slopes stay O(100)
+        # and a 1e-12 absolute tolerance is meaningful
+        times = np.sort(rng.uniform(0.0, 1.0, k))
+        while (np.diff(times) < 1e-2).any():
+            times = np.sort(rng.uniform(0.0, 1.0, k))
+        w = float(times[-1] - times[0])
+        ya = rng.uniform(-2.0, 2.0, (k, 2))
+        yb = rng.uniform(-2.0, 2.0, (k, 2))
+        alpha = float(rng.uniform(-3.0, 3.0))
+        ua = ClientUpdate(0, times, ya, w)
+        ub = ClientUpdate(0, times, yb, w)
+        usum = ClientUpdate(0, times, ya + yb, w)
+        uscale = ClientUpdate(0, times, alpha * ya, w)
+        hi = ClientUpdate(0, times, ya + rng.uniform(0.05, 1.0, (k, 2)), w)
+        const = ClientUpdate(0, times, np.full((k, 2), 1.75), w)
+        for tau in rng.uniform(times[0] - 0.5, times[-1] + 0.5, 5):
+            worst_lin = np.max([
+                worst_lin,
+                np.abs(interp_state(usum, tau) - interp_state(ua, tau)
+                       - interp_state(ub, tau)).max(),
+                np.abs(interp_state(uscale, tau) - alpha * interp_state(ua, tau)).max()])
+        for tau in rng.uniform(times[0], times[-1], 5):
+            if not (interp_state(hi, tau) > interp_state(ua, tau)).all():
+                violations += 1
+            if np.abs(interp_state(const, tau) - 1.75).max() > 1e-12:
+                violations += 1
+    return worst_lin, violations
+
+
+def solver_discrepancy(seed, trials):
+    """The largest elementwise gap between `be_step` and
+    `dense_be_reference` over random central steps."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        n = int(rng.integers(1, 9))
+        d = int(rng.integers(1, 17))
+        active = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+        state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
+        prev = rng.normal(size=(n, d))
+        updates = {}
+        for i in active:
+            times = np.array([0.0, float(rng.uniform(0.05, 1.0))])
+            updates[i] = ClientUpdate(i, times, rng.normal(size=(2, d)), float(times[1]))
+        sens = build_sensitivity(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 5.0, (n, d)),
+                                 float(rng.uniform(0.05, 1.0)))
+        ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
+        dt = float(rng.uniform(0.001, 0.5))
+        fast = be_step(state, active, resample(updates, dt, True), sens, ctrl, dt, prev)
+        ref = dense_be_reference(state, updates, sens, ctrl, dt, prev)
+        worst = np.max([worst, np.abs(fast.x_c - ref.x_c).max(),
+                         np.abs(fast.flows - ref.flows).max()])
+    return worst
+
+
+def gradient_errors(seed, trials):
+    """The largest relative gap between each objective kind's gradient and
+    central differences, over `trials` random points per objective.  The
+    worst values here and above are NaN if any gap is, so a bound fails."""
+    rng = np.random.default_rng(seed)
+    data = make_blobs(60, 4, 3, seed=77)
+    worst = {}
+    for obj in (random_quadratic(8, rng, 0.5, 20.0), LogisticObjective(data),
+                MlpObjective(data, hidden=6)):
+        rels = []
+        for _ in range(trials):
+            x = rng.normal(size=obj.dim) * 0.5
+            fd = finite_diff_gradient(obj, x, h=1e-6)
+            rels.append(np.linalg.norm(obj.gradient(x) - fd) / max(np.linalg.norm(fd), 1e-300))
+        worst[obj.kind] = np.max(rels)
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # Self-contained verification suite (used by the `verify` CLI subcommand)
 # ---------------------------------------------------------------------------
 
@@ -309,107 +398,27 @@ def _check_sign():
 
 
 def _check_solver_equivalence(trials=20, seed=123):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, 9))
-        d = int(rng.integers(1, 17))
-        n_active = int(rng.integers(1, n + 1))
-        active = sorted(rng.choice(n, n_active, replace=False).tolist())
-        state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
-        prev = rng.normal(size=(n, d))
-        sens = build_sensitivity(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 5.0, (n, d)),
-                                 dt_ref=float(rng.uniform(0.05, 1.0)))
-        ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
-        dt = float(rng.uniform(0.001, 0.5))
-        updates = {}
-        for i in active:
-            times = np.array([0.0, rng.uniform(0.05, 0.5)])
-            states = rng.normal(size=(2, d))
-            updates[i] = ClientUpdate(i, times, states, float(times[1]))
-        fast = be_step(state, active, resample(updates, dt, True), sens, ctrl, dt, prev)
-        ref = dense_be_reference(state, updates, sens, ctrl, dt, prev)
-        worst = max(worst,
-                    np.abs(fast.x_c - ref.x_c).max(),
-                    np.abs(fast.flows - ref.flows).max())
+    worst = solver_discrepancy(seed, trials)
     return worst <= 1e-10, f"max discrepancy {worst:.3e} over {trials} instances"
 
 
 def _check_interp_algebra(trials=50, seed=7):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        k = int(rng.integers(2, 8))
-        d = int(rng.integers(1, 5))
-        times = np.sort(rng.uniform(0.0, 1.0, k))
-        while (np.diff(times) <= 1e-9).any():
-            times = np.sort(rng.uniform(0.0, 1.0, k))
-        ya = rng.normal(size=(k, d))
-        yb = rng.normal(size=(k, d))
-        alpha = float(rng.normal())
-        w = float(times[-1] - times[0])
-        ua = ClientUpdate(0, times, ya, w)
-        ub = ClientUpdate(0, times, yb, w)
-        usum = ClientUpdate(0, times, ya + yb, w)
-        uscale = ClientUpdate(0, times, alpha * ya, w)
-        for tau in rng.uniform(times[0] - 0.5, times[-1] + 0.5, 5):
-            add_gap = np.abs(interp_state(usum, tau)
-                             - interp_state(ua, tau) - interp_state(ub, tau)).max()
-            hom_gap = np.abs(interp_state(uscale, tau)
-                             - alpha * interp_state(ua, tau)).max()
-            worst = max(worst, add_gap, hom_gap)
+    worst, _ = interp_algebra(seed, trials)
     return worst <= 1e-12, f"max additivity/homogeneity gap {worst:.3e}"
 
 
 def _check_interp_order(trials=200, seed=11):
-    rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(trials):
-        k = int(rng.integers(2, 6))
-        times = np.sort(rng.uniform(0.0, 1.0, k))
-        while (np.diff(times) <= 1e-9).any():
-            times = np.sort(rng.uniform(0.0, 1.0, k))
-        lo = rng.normal(size=(k, 1))
-        hi = lo + rng.uniform(0.1, 2.0, size=(k, 1))
-        w = float(times[-1] - times[0])
-        ulo = ClientUpdate(0, times, lo, w)
-        uhi = ClientUpdate(0, times, hi, w)
-        const = ClientUpdate(0, times, np.full((k, 1), 3.25), w)
-        for tau in rng.uniform(times[0], times[-1], 20):
-            if not interp_state(uhi, tau) > interp_state(ulo, tau):
-                violations += 1
-            if abs(interp_state(const, tau).item() - 3.25) > 1e-12:
-                violations += 1
+    _, violations = interp_algebra(seed, trials)
     return violations == 0, f"{violations} ordering/constant violations in {trials} cases"
 
 
-def _check_gradients(seed=3):
-    rng = np.random.default_rng(seed)
-    data = make_blobs(40, 4, 3, seed=5)
-    objs = [
-        random_quadratic_for_check(rng),
-        LogisticObjective(data),
-        MlpObjective(data, hidden=5),
-    ]
-    worst = 0.0
-    for obj in objs:
-        for _ in range(4):
-            x = rng.normal(size=obj.dim) * 0.5
-            g = obj.gradient(x)
-            fd = finite_diff_gradient(obj, x, h=1e-6)
-            rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
-            worst = max(worst, rel)
+def _check_gradients(trials=4, seed=3):
+    worst = np.max(list(gradient_errors(seed, trials).values()))
     return worst <= 1e-5, f"max relative gradient error {worst:.3e}"
-
-
-def random_quadratic_for_check(rng):
-    from fedecado.objectives import random_quadratic
-    return random_quadratic(6, rng, 0.5, 5.0)
 
 
 def _check_minimizer(seed=17):
     rng = np.random.default_rng(seed)
-    from fedecado.objectives import random_quadratic
     objs = [random_quadratic(8, rng, 0.2, 20.0) for _ in range(5)]
     w = rng.dirichlet(np.full(5, 1.0))
     x_star = quadratic_minimizer(objs, w)

@@ -6,22 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from fedecado.clients import ClientUpdate
-from fedecado.consensus import (
-    FlowState,
-    StepController,
-    be_step,
-    build_sensitivity,
-    interp_state,
-    resample,
-)
 from fedecado.harness import ExperimentConfig, metrics_to_csv, run_experiment, trace_to_csv
-from fedecado.objectives import LogisticObjective, MlpObjective, make_blobs, random_quadratic
 from fedecado.oracles import (
     contraction_ratio,
-    dense_be_reference,
-    finite_diff_gradient,
+    gradient_errors,
+    interp_algebra,
     quadratic_minimizer,
+    solver_discrepancy,
     stationary_flows,
 )
 
@@ -147,63 +138,14 @@ def test_criterion_3_lte_guarantee(quad_run, hetero_run):
 
 
 def test_criterion_4_interp_operator_algebra():
-    rng = np.random.default_rng(202)
-    worst_lin = 0.0
-    violations = 0
-    for _ in range(200):
-        k = int(rng.integers(2, 7))
-        # keep checkpoint gaps bounded away from zero so slopes stay O(100)
-        # and the 1e-12 absolute tolerance is meaningful
-        times = np.sort(rng.uniform(0.0, 1.0, k))
-        while (np.diff(times) < 1e-2).any():
-            times = np.sort(rng.uniform(0.0, 1.0, k))
-        w = float(times[-1] - times[0])
-        ya = rng.uniform(-2.0, 2.0, (k, 2))
-        yb = rng.uniform(-2.0, 2.0, (k, 2))
-        alpha = float(rng.uniform(-3.0, 3.0))
-        ua = ClientUpdate(0, times, ya, w)
-        ub = ClientUpdate(0, times, yb, w)
-        usum = ClientUpdate(0, times, ya + yb, w)
-        uscale = ClientUpdate(0, times, alpha * ya, w)
-        hi = ClientUpdate(0, times, ya + rng.uniform(0.05, 1.0, (k, 2)), w)
-        const = ClientUpdate(0, times, np.full((k, 2), 1.75), w)
-        for tau in rng.uniform(times[0] - 0.5, times[-1] + 0.5, 5):
-            worst_lin = max(
-                worst_lin,
-                np.abs(interp_state(usum, tau) - interp_state(ua, tau)
-                       - interp_state(ub, tau)).max(),
-                np.abs(interp_state(uscale, tau) - alpha * interp_state(ua, tau)).max())
-        for tau in rng.uniform(times[0], times[-1], 5):
-            if not (interp_state(hi, tau) > interp_state(ua, tau)).all():
-                violations += 1
-            if np.abs(interp_state(const, tau) - 1.75).max() > 1e-12:
-                violations += 1
+    worst_lin, violations = interp_algebra(202, 200)
     assert worst_lin <= 1e-12, f"linearity gap {worst_lin:.3e}"
     assert violations == 0
     print(f"criterion 4: PASS - linearity gap {worst_lin:.2e}, 0 order/constant violations")
 
 
 def test_criterion_5_solver_equivalence():
-    rng = np.random.default_rng(505)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        d = int(rng.integers(1, 17))
-        active = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
-        state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
-        prev = rng.normal(size=(n, d))
-        updates = {}
-        for i in active:
-            times = np.array([0.0, float(rng.uniform(0.05, 1.0))])
-            updates[i] = ClientUpdate(i, times, rng.normal(size=(2, d)), float(times[1]))
-        sens = build_sensitivity(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 5.0, (n, d)),
-                                 float(rng.uniform(0.05, 1.0)))
-        ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
-        dt = float(rng.uniform(0.001, 0.5))
-        fast = be_step(state, active, resample(updates, dt, True), sens, ctrl, dt, prev)
-        ref = dense_be_reference(state, updates, sens, ctrl, dt, prev)
-        worst = max(worst, np.abs(fast.x_c - ref.x_c).max(),
-                    np.abs(fast.flows - ref.flows).max())
+    worst = solver_discrepancy(505, 100)
     assert worst <= 1e-10, f"max discrepancy {worst:.3e}"
     print(f"criterion 5: PASS - max elementwise discrepancy {worst:.2e} over 100 instances")
 
@@ -222,22 +164,8 @@ def test_criterion_6_contraction(quad_run):
 
 
 def test_criterion_7_gradient_fidelity():
-    rng = np.random.default_rng(707)
-    data = make_blobs(60, 4, 3, seed=77)
-    objectives = [
-        random_quadratic(8, rng, 0.5, 20.0),
-        LogisticObjective(data),
-        MlpObjective(data, hidden=6),
-    ]
-    worst = 0.0
-    for obj in objectives:
-        for _ in range(10):
-            x = rng.normal(size=obj.dim) * 0.5
-            g = obj.gradient(x)
-            fd = finite_diff_gradient(obj, x, h=1e-6)
-            rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-300)
-            worst = max(worst, rel)
-            assert rel <= 1e-5, f"{obj.kind}: relative error {rel:.3e}"
+    worst = np.max(list(gradient_errors(707, 10).values()))
+    assert worst <= 1e-5, f"max relative gradient error {worst:.3e}"
     print(f"criterion 7: PASS - max relative gradient error {worst:.2e} "
           "(quadratic, logistic, mlp; 10 points each)")
 

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from fedecado.harness import (
 )
 from fedecado.objectives import LogisticObjective, QuadraticObjective
 from fedecado.oracles import quadratic_minimizer
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def quad_config(**overrides):
@@ -80,6 +84,38 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json('{"objective": {"kind": "quadratic"}, "n_clients": 2, "bogus": 1}')
+
+    def test_sections_completed_to_defaults(self):
+        cfg = ExperimentConfig(objective={"kind": "quadratic"}, n_clients=2)
+        assert cfg.objective == {"kind": "quadratic", "dim": 20, "eig_min": 1.0,
+                                 "eig_max": 10.0, "center_scale": 1.0}
+        assert cfg.partition == {"scheme": "iid"}
+        assert cfg.heterogeneity == {"mode": "fixed", "lr": 1e-3, "epochs": 5}
+        assert cfg.algo_params == {
+            "L": 1.0, "delta": 1e-3, "dt0": 1e-2, "safety": 0.9, "max_backtracks": 40,
+            "growth": 2.0, "sensitivity_dt_ref": 1e-2, "sensitivity_refresh": 0,
+            "hessian_samples": 64, "sync": True, "mu": 0.01, "server_lr": 1.0}
+        widened = ExperimentConfig(objective={"kind": "quadratic", "eig_max": 12}, n_clients=2,
+                                   participation_ratio=1, algo_params={"L": 3})
+        assert [type(v) for v in (widened.objective["eig_max"], widened.participation_ratio,
+                                  widened.algo_params["L"])] == [float, float, float]
+        assert widened.objective["eig_max"] == 12.0
+
+    def test_shipped_configs_round_trip(self):
+        """Every file in configs/ and every benchmark workload survives
+        to_json/from_json and still reads the way the benchmark reads it."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        configs = [ExperimentConfig.from_file(p) for p in paths]
+        configs += [bench.experiment_config(w, w.default_seed) for w in bench.WORKLOADS.values()]
+        assert len(configs) == 7
+        for cfg in configs:
+            assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+            assert cfg.objective["kind"] in ("quadratic", "logistic")
+            assert cfg.params()["delta"] > 0
 
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigError):
@@ -235,12 +271,6 @@ class TestRunExperiment:
             assert 1e-4 <= c.lr <= 1e-3
             assert 1 <= c.epochs <= 10
 
-    def test_endpoint_record_mode_runs(self):
-        # endpoint-only trajectories (2 checkpoints) trade resampling
-        # fidelity for payload size; the run must still converge sanely
-        res = run_experiment(quad_config(record="endpoints", rounds_max=60))
-        assert res.metrics_rows[-1]["global_loss"] <= res.metrics_rows[0]["global_loss"]
-
     def test_sensitivity_refresh_runs(self):
         cfg = quad_config(rounds_max=12,
                           algo_params={"L": 0.05, "delta": 1e-2, "dt0": 0.105,
@@ -334,7 +364,7 @@ class TestCli:
         assert "error:" in result.output
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize("section,override", [
+    @pytest.mark.parametrize("path,override", [
         ("algo_params", {"L": 0}),
         ("algo_params", {"dt0": -1}),
         ("algo_params", {"growth": 0.5}),
@@ -347,15 +377,52 @@ class TestCli:
         ("heterogeneity", {"mode": "random", "lr_min": 1e-3, "lr_max": 1e-4}),
         ("heterogeneity", {"mode": "random", "epochs_min": 5, "epochs_max": 2}),
         ("partition", {"scheme": "dirichlet", "alpha": 0}),
+        # unknown keys, including another tag's fields
+        ("objective.dimm", {"kind": "quadratic", "dimm": 5}),
+        ("partition.alpah", {"scheme": "dirichlet", "alpah": 0.01}),
+        ("heterogeneity.epoch", {"mode": "fixed", "epoch": 50}),
+        ("partition.alpha", {"scheme": "iid", "alpha": 0.5}),
+        ("heterogeneity.lr", {"mode": "random", "lr": 0.01}),
+        ("objective.hidden", {"kind": "quadratic", "hidden": 8}),
+        # wrong types: a string for a bool, floats for ints, strings for numbers
+        ("algo_params.sync", {"sync": "false"}),
+        ("heterogeneity.epochs", {"mode": "fixed", "lr": 0.01, "epochs": 2.9}),
+        ("seed", 3.5),
+        ("seed", -1),
+        ("rounds_max", 2.5),
+        ("algo_params.max_backtracks", {"max_backtracks": 2.5}),
+        ("n_clients", "2"),
+        ("algo_params.L", {"L": "1"}),
+        ("objective", "quadratic"),
+        ("partition", None),
+        ("heterogeneity", []),
+        # out of range or not finite
+        ("objective.dim", {"kind": "quadratic", "dim": 0}),
+        ("objective.eig_max", {"kind": "quadratic", "eig_min": 5.0, "eig_max": 2.0}),
+        ("objective.eig_min", {"kind": "quadratic", "eig_min": -1.0}),
+        ("objective.n_samples", {"kind": "logistic", "n_samples": 2}),
+        ("objective.hidden", {"kind": "mlp", "hidden": 0}),
+        ("algo_params.safety", {"safety": float("nan")}),
+        ("tol", float("nan")),
+        ("tol", 10**310),
+        ("algo_params.delta", {"delta": float("inf")}),
+        ("objective.n_features", {"kind": "logistic", "n_features": 0}),
+        ("objective.n_classes", {"kind": "logistic", "n_classes": 1}),
+        # CSV datasets the test writes: fewer rows than clients, non-integer labels
+        ("objective.csv", {"kind": "logistic", "csv": "few_rows.csv"}),
+        ("objective.csv", {"kind": "logistic", "csv": "bad_labels.csv"}),
     ])
-    def test_run_bad_config_fields_exit_one(self, tmp_path, section, override):
-        path = tmp_path / "bad.json"
+    def test_run_bad_config_fields_exit_one(self, tmp_path, monkeypatch, path, override):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "few_rows.csv").write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,1\n")
+        (tmp_path / "bad_labels.csv").write_text(
+            "f0,label\n0.1,0\n0.2,1\n0.3,0.5\n0.4,1\n")
         fields = json.loads(quad_config().to_json())
-        fields[section] = override
-        path.write_text(json.dumps(fields))
-        result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
+        fields[path.split(".")[0]] = override
+        (tmp_path / "bad.json").write_text(json.dumps(fields))
+        result = CliRunner().invoke(cli_main, ["run", "--config", "bad.json"])
         assert result.exit_code == 1
-        assert "error:" in result.stderr and section in result.stderr
+        assert "error:" in result.stderr and path in result.stderr
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
 

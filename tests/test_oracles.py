@@ -3,7 +3,7 @@ import pytest
 
 from fedecado.clients import ClientConfig, simulate_local
 from fedecado.consensus import FlowState, StepController, build_sensitivity, consensus_round
-from fedecado.objectives import QuadraticObjective, random_quadratic
+from fedecado.objectives import LogisticObjective, QuadraticObjective, random_quadratic
 from fedecado.oracles import (
     BetaNormSpec,
     IMPLEMENTED_CENTRAL_SIGN,
@@ -13,6 +13,7 @@ from fedecado.oracles import (
     coupled_system_matrix,
     dense_be_reference,
     finite_diff_gradient,
+    gradient_errors,
     quadratic_minimizer,
     run_verification,
     stationary_flows,
@@ -166,6 +167,16 @@ class TestVerificationSuite:
         results = run_verification()
         failed = [(n, d) for n, ok, d in results if not ok]
         assert not failed, failed
+
+    def test_nan_gradient_fails_gradient_fidelity(self, monkeypatch):
+        # one NaN gradient among valid ones must not be dropped by the worst-case
+        monkeypatch.setattr(LogisticObjective, "gradient",
+                            lambda self, x: np.full(self.dim, np.nan))
+        worst = gradient_errors(3, 4)
+        assert np.isnan(worst["logistic"]) and worst["quadratic"] <= 1e-5
+        assert not np.max(list(worst.values())) <= 1e-5
+        checks = {name: ok for name, ok, _ in run_verification()}
+        assert not checks["gradient-fidelity"]
 
 
 def test_coupling_strength_speeds_contraction():
