@@ -4,7 +4,9 @@ Clients integrate local gradient-flow ODEs over private time windows; a
 central agent reconciles their trajectories on a shared timescale with an
 implicit (Backward-Euler) solve over coupled flow variables, adapting its
 step size from local truncation error estimates.  FedAvg, FedProx and
-FedNova baselines share the same objectives, partitioner and harness.
+FedNova baselines share the same objectives, partitioner, local integrator
+and round loop: every algorithm's clients run the same windows, and only the
+server step (consensus round or aggregation rule) differs.
 """
 
 from fedecado.objectives import (

@@ -68,16 +68,15 @@ class ClientUpdate:
         return self.states[-1]
 
 
-def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, record="steps",
-                   minibatch=None, rng=None, mu=0.0):
+def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=None,
+                   mu=0.0):
     """Integrate the local ODE with Forward-Euler steps:
 
         x <- x - lr * (weight * grad f(x) + i_flow + mu * (x - x_start))
 
     for cfg.epochs steps, holding the drift term i_flow constant over the
     window; mu > 0 adds FedProx's proximal pull back to the start state.
-    Records one checkpoint per step plus the initial state (record="steps"),
-    or just the two endpoints (record="endpoints").
+    Records one checkpoint per step plus the initial state.
 
     minibatch selects a seeded random subset of that size per step and uses
     the rescaled stochastic gradient instead of the full one.
@@ -86,8 +85,6 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, record="steps",
     drift = np.asarray(i_flow, dtype=np.float64)
     if x0.shape != drift.shape or x0.shape != (obj.dim,):
         raise ValueError("x_start/i_flow shape mismatch with the objective")
-    if record not in ("steps", "endpoints"):
-        raise ValueError("record must be 'steps' or 'endpoints'")
     if minibatch is not None:
         if getattr(obj, "dataset", None) is None:
             raise ValueError("minibatch mode needs a dataset-backed objective")
@@ -113,13 +110,9 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, record="steps",
                 raise DivergenceError(
                     f"client {cfg.client_id} diverged at local step {step + 1} "
                     f"(lr={cfg.lr:g})", step=step + 1)
-            if record == "steps":
-                states.append(x)
+            states.append(x)
 
     times = t_start + cfg.lr * np.arange(cfg.epochs + 1)
-    if record == "endpoints":
-        times = times[[0, -1]]
-        states = [x0, x]
     return ClientUpdate(cfg.client_id, times, np.asarray(states), cfg.window)
 
 

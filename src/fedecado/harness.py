@@ -363,6 +363,8 @@ def run_experiment(cfg):
     sens = (build_sensitivity(weights, curvatures(x_init), params["sensitivity_dt_ref"])
             if cfg.algo == "fedecado" else None)
     refresh = params["sensitivity_refresh"]
+    # FedProx differs from FedAvg only in its clients' proximal pull
+    mu = params["mu"] if cfg.algo == "fedprox" else 0.0
 
     metrics_rows = []
     step_tables = [np.empty(0, STEP_DTYPE)]   # one record array per round, joined at the end
@@ -382,15 +384,16 @@ def run_experiment(cfg):
         mb_rng = (np.random.default_rng([cfg.seed, 7001, rnd])
                   if cfg.minibatch is not None else None)
         try:
+            # every algorithm's active clients start from the downloaded state
+            # with their stored flow (zero for the baselines)
+            updates = {int(i): simulate_local(objectives[i], configs[i], state.x_c,
+                                              -state.flows[i], t_start=state.t_now,
+                                              minibatch=cfg.minibatch, rng=mb_rng, mu=mu)
+                       for i in active}
             if cfg.algo == "fedecado":
                 if refresh and rnd > 0 and rnd % refresh == 0:
                     sens = build_sensitivity(weights, curvatures(state.x_c),
                                              params["sensitivity_dt_ref"])
-                # each active client starts from the downloaded state with its stored flow
-                updates = {int(i): simulate_local(objectives[i], configs[i], state.x_c,
-                                                  -state.flows[i], t_start=state.t_now,
-                                                  minibatch=cfg.minibatch, rng=mb_rng)
-                           for i in active}
                 sink = [] if cfg.record_flow_trace else None
                 # per-substep loss is only worth computing when a trace is kept
                 trace_loss = global_obj.loss if cfg.out_dir else None
@@ -406,18 +409,13 @@ def run_experiment(cfg):
                     times, states = zip(*sink)
                     flow_trace.append(Trajectory(np.array(times), np.array(states)))
             else:
-                act_objs = [objectives[i] for i in active]
-                act_cfgs = [configs[i] for i in active]
-                if cfg.algo == "fedavg":
-                    agg = fedavg_round(state.x_c, act_objs, act_cfgs, cfg.minibatch, mb_rng)
-                elif cfg.algo == "fedprox":
-                    agg = fedprox_round(state.x_c, act_objs, act_cfgs, params["mu"],
-                                        cfg.minibatch, mb_rng)
-                else:
-                    agg = fednova_round(state.x_c, act_objs, act_cfgs, cfg.minibatch, mb_rng)
+                # looked up by name each round, so a wrapper set on this module is seen
+                server_rule = {"fedavg": fedavg_round, "fedprox": fedprox_round,
+                               "fednova": fednova_round}[cfg.algo]
+                finals = np.array([upd.final_state for upd in updates.values()])
+                agg = server_rule(state.x_c, finals, [configs[i] for i in active])
                 x_next = state.x_c + params["server_lr"] * (agg - state.x_c)
-                for i in active:
-                    held[int(i)] = x_next
+                held[active] = x_next
                 state = FlowState(x_next, state.flows, state.t_now, state.gs_iter + 1)
         except (DivergenceError, StepControlError, FloatingPointError) as exc:
             metrics_rows.append({

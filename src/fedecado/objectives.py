@@ -61,14 +61,26 @@ def make_blobs(n_samples, n_features, n_classes, seed, center_scale=2.0):
 
 def load_csv_dataset(path):
     """Load a dataset from CSV: header row, feature columns, then an integer
-    label column (last)."""
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
-    if raw.ndim == 1:
-        raw = raw[None, :]
+    label column (last).  Raises ValueError for a file with no rows, no
+    feature column, an empty or non-finite cell, or fewer than 2 classes."""
+    import warnings
+    with warnings.catch_warnings():     # an empty body is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64, ndmin=2)
+    if len(raw) == 0:
+        raise ValueError("no data rows")
+    if raw.shape[1] < 2:
+        raise ValueError("no feature column before the label column")
+    if not np.isfinite(raw).all():
+        row, col = np.argwhere(~np.isfinite(raw))[0]
+        raise ValueError(f"data row {row + 1}, column {col + 1} is empty or not finite")
     labels = raw[:, -1].astype(np.int64)
     if not np.allclose(raw[:, -1], labels):
         raise ValueError("label column is not integer-valued")
-    return Dataset(raw[:, :-1], labels, int(labels.max()) + 1)
+    dataset = Dataset(raw[:, :-1], labels, int(labels.max()) + 1)
+    if dataset.n_classes < 2:
+        raise ValueError("labels hold fewer than 2 classes")
+    return dataset
 
 
 def save_csv_dataset(dataset, path):

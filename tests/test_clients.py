@@ -45,14 +45,6 @@ class TestSimulateLocal:
         np.testing.assert_allclose(np.diff(upd.times), 0.02)
         assert upd.times[0] == 1.5
 
-    def test_endpoint_mode(self):
-        cfg = ClientConfig(0, lr=0.02, epochs=7, weight=1.0)
-        upd = simulate_local(_unit_quadratic(), cfg, np.ones(2), np.zeros(2),
-                             record="endpoints")
-        assert len(upd.times) == 2
-        full = simulate_local(_unit_quadratic(), cfg, np.ones(2), np.zeros(2))
-        np.testing.assert_array_equal(upd.final_state, full.final_state)
-
     def test_matches_plain_gradient_descent_bitwise(self, simple_quadratic):
         cfg = ClientConfig(0, lr=0.05, epochs=10, weight=1.0)
         x0 = np.array([3.0, -2.0])
@@ -80,7 +72,7 @@ class TestSimulateLocal:
         cfg = ClientConfig(0, lr=lr, epochs=3, weight=w)
         x0 = np.array([2.0, -1.0])
         drift = np.array([0.2, -0.4])
-        upd = simulate_local(simple_quadratic, cfg, x0, drift, record="endpoints", mu=mu)
+        upd = simulate_local(simple_quadratic, cfg, x0, drift, mu=mu)
         x = x0.copy()
         for _ in range(3):
             x = x - lr * (w * simple_quadratic.gradient(x) + drift + mu * (x - x0))

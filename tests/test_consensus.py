@@ -196,8 +196,9 @@ class TestBeStep:
                                      float(rng.uniform(0.05, 1.0)))
             ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
             dt = float(rng.uniform(0.001, 0.5))
-            fast = be_step(state, active, resample(updates, dt, True), sens, ctrl, dt, prev)
-            ref = dense_be_reference(state, updates, sens, ctrl, dt, prev)
+            gam = resample(updates, dt, True)
+            fast = be_step(state, active, gam, sens, ctrl, dt, prev)
+            ref = dense_be_reference(state, active, gam, sens, ctrl, dt, prev)
             worst = max(worst, np.abs(fast.x_c - ref.x_c).max(),
                         np.abs(fast.flows - ref.flows).max())
         assert worst <= 1e-10

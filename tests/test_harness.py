@@ -210,6 +210,31 @@ class TestRunExperiment:
             assert np.isfinite(res.metrics_rows[-1]["global_loss"])
             assert res.metrics_rows[-1]["dt_min"] is None
 
+    def test_fedprox_rounds_match_hand_iteration(self):
+        # each round: proximal local steps from the global state on the
+        # active clients, their weighted average, then the server step
+        mu, server_lr = 0.5, 1.5
+        cfg = quad_config(algo="fedprox", rounds_max=2, n_clients=4, participation_ratio=0.5,
+                          heterogeneity={"mode": "random", "lr_min": 0.005, "lr_max": 0.02,
+                                         "epochs_min": 2, "epochs_max": 6},
+                          algo_params={"mu": mu, "server_lr": server_lr})
+        res = run_experiment(cfg)
+        x = res.x_init.copy()
+        for rnd in range(2):
+            active = sample_active_set(4, 0.5, rnd, cfg.seed)
+            finals, weights = [], []
+            for i in active:
+                obj, c = res.objectives[i], res.client_configs[i]
+                xi = x.copy()
+                for _ in range(c.epochs):
+                    xi = xi - c.lr * (c.weight * obj.gradient(xi) + mu * (xi - x))
+                finals.append(xi)
+                weights.append(c.weight)
+            avg = sum(w * f for w, f in zip(weights, finals)) / sum(weights)
+            x = x + server_lr * (avg - x)
+        assert len({c.epochs for c in res.client_configs}) > 1
+        np.testing.assert_allclose(res.final_x, x, rtol=1e-13, atol=1e-15)
+
     def test_logistic_metrics_include_accuracy(self):
         res = run_experiment(logistic_config())
         acc = res.metrics_rows[-1]["accuracy"]
@@ -314,7 +339,7 @@ class TestRunExperiment:
             algo_params={"L": 1e-3, "delta": 1e-2, "dt0": 0.0035},
             rounds_max=2, tol=1e-12, minibatch=10)
         draws = {}
-        for algo in ("fedecado", "fedavg"):
+        for algo in ("fedecado", "fedavg", "fednova"):
             drawn.clear()
             run_experiment(ExperimentConfig(algo=algo, **cfg))
             assert len(drawn) == 8   # 2 rounds x 2 clients x 2 local steps
@@ -322,6 +347,7 @@ class TestRunExperiment:
         round0, round1 = draws["fedecado"]
         assert round0 != round1
         assert draws["fedavg"][0] == round0
+        assert draws["fednova"][0] == round0
 
     def test_output_files_written(self, tmp_path):
         out = tmp_path / "runout"
@@ -411,12 +437,23 @@ class TestCli:
         # CSV datasets the test writes: fewer rows than clients, non-integer labels
         ("objective.csv", {"kind": "logistic", "csv": "few_rows.csv"}),
         ("objective.csv", {"kind": "logistic", "csv": "bad_labels.csv"}),
+        # no rows, no feature column, a blank or infinite cell, a single class
+        ("objective.csv", {"kind": "logistic", "csv": "header_only.csv"}),
+        ("objective.csv", {"kind": "logistic", "csv": "label_only.csv"}),
+        ("objective.csv", {"kind": "logistic", "csv": "blank_cell.csv"}),
+        ("objective.csv", {"kind": "logistic", "csv": "inf_cell.csv"}),
+        ("objective.csv", {"kind": "logistic", "csv": "one_class.csv"}),
     ])
     def test_run_bad_config_fields_exit_one(self, tmp_path, monkeypatch, path, override):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "few_rows.csv").write_text("f0,f1,label\n0.1,0.2,0\n0.3,0.4,1\n")
         (tmp_path / "bad_labels.csv").write_text(
             "f0,label\n0.1,0\n0.2,1\n0.3,0.5\n0.4,1\n")
+        (tmp_path / "header_only.csv").write_text("f0,label\n")
+        (tmp_path / "label_only.csv").write_text("label\n0\n1\n0\n1\n")
+        (tmp_path / "blank_cell.csv").write_text("f0,label\n0.1,0\n,1\n0.3,0\n0.4,1\n")
+        (tmp_path / "inf_cell.csv").write_text("f0,label\n0.1,0\ninf,1\n0.3,0\n0.4,1\n")
+        (tmp_path / "one_class.csv").write_text("f0,label\n0.1,0\n0.2,0\n0.3,0\n0.4,0\n")
         fields = json.loads(quad_config().to_json())
         fields[path.split(".")[0]] = override
         (tmp_path / "bad.json").write_text(json.dumps(fields))
@@ -531,3 +568,33 @@ def test_step_table_reads_and_prints_like_step_records():
         "4099,0.333333333333,1e-300,0,0.009999,40,1e+15,12.51623\n")
     assert trace_to_csv(np.empty(0, STEP_DTYPE).view(np.recarray)) == (
         "round,tau,dt,eps_c,eps_l,backtracks,norm_xc_change,global_loss\n")
+
+
+@pytest.mark.parametrize("algo", ["fedecado", "fednova"])
+def test_benchmark_tracer_sees_every_layer(algo):
+    """The benchmark's tracer wraps this program's layers from outside.  A
+    traced run must give the untraced run's outputs, find every attach point,
+    count the central steps the run recorded, and see the client windows of
+    every algorithm.  Retiring an attach point means editing this test."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cfg = quad_config(algo=algo, n_clients=10, participation_ratio=0.3, rounds_max=40,
+                      heterogeneity={"mode": "random"})
+    plain = run_experiment(cfg)
+    tracer = bench.Tracer()
+    tracer.install()
+    try:
+        traced = tracer.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    assert metrics_to_csv(traced.metrics_rows) == metrics_to_csv(plain.metrics_rows)
+    assert trace_to_csv(traced.step_records) == trace_to_csv(plain.step_records)
+    assert tracer.missing == set()
+    layers = bench.layer_metrics(tracer, tracer.run_id)
+    assert layers["consensus.accepted_steps"] == len(traced.step_records)
+    assert layers["consensus.rejected_trials"] == int(traced.step_records.backtracks.sum())
+    assert layers["clients.simulate_local.calls"] == 40 * 3
+    if algo == "fednova":
+        assert layers["baselines.round.calls"] == 40

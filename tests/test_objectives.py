@@ -146,6 +146,19 @@ class TestDatasets:
         np.testing.assert_allclose(loaded.features, blob_data.features)
         np.testing.assert_array_equal(loaded.labels, blob_data.labels)
 
+    @pytest.mark.parametrize("text,message", [
+        ("f0,label\n", "no data rows"),
+        ("label\n0\n1\n0\n1\n", "no feature column"),
+        ("f0,label\n0.1,0\n,1\n0.3,0\n", "row 2, column 1 is empty or not finite"),
+        ("f0,f1,label\n0.1,0.2,0\n0.3,-inf,1\n", "row 2, column 2 is empty or not finite"),
+        ("f0,label\n0.1,0\n0.2,0\n0.3,0\n", "fewer than 2 classes"),
+    ])
+    def test_bad_csv_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv_dataset(path)
+
     def test_labels_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)

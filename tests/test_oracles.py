@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from fedecado.clients import ClientConfig, simulate_local
-from fedecado.consensus import FlowState, StepController, build_sensitivity, consensus_round
+from fedecado.consensus import (
+    FlowState,
+    StepController,
+    build_sensitivity,
+    consensus_round,
+    resample,
+)
 from fedecado.objectives import LogisticObjective, QuadraticObjective, random_quadratic
 from fedecado.oracles import (
     BetaNormSpec,
@@ -80,7 +86,8 @@ class TestDenseReference:
         state = FlowState(x_c, np.zeros((2, 3)), 0.0, 0)
         updates = {i: _constant_update(x_c, cid=i) for i in range(2)}
         sens = build_sensitivity(np.array([0.5, 0.5]), np.ones((2, 3)), 0.1)
-        out = dense_be_reference(state, updates, sens, StepController(), dt=0.2)
+        out = dense_be_reference(state, [0, 1], resample(updates, 0.2, True), sens,
+                                 StepController(), 0.2, state.flows)
         np.testing.assert_allclose(out.x_c, x_c, atol=1e-12)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
 
@@ -88,7 +95,8 @@ class TestDenseReference:
         state = FlowState(np.zeros(40), np.zeros((2, 40)), 0.0, 0)
         sens = build_sensitivity(np.array([0.5, 0.5]), np.ones((2, 40)), 0.1)
         with pytest.raises(ValueError):
-            dense_be_reference(state, {}, sens, StepController(), dt=0.1)
+            dense_be_reference(state, [], np.zeros((0, 40)), sens, StepController(), 0.1,
+                               state.flows)
 
 
 class TestBetaNorm:
