@@ -28,7 +28,6 @@ from fedecado.clients import (
 )
 from fedecado.consensus import (
     FlowState,
-    SensitivityModel,
     StepController,
     StepControlError,
     adaptive_step,
@@ -55,7 +54,6 @@ __all__ = [
     "MlpObjective",
     "Partition",
     "QuadraticObjective",
-    "SensitivityModel",
     "StepController",
     "StepControlError",
     "adaptive_step",

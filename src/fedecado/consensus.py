@@ -22,7 +22,7 @@ sync=True round makes n_active * (trials + 1) `interp_state` calls, and a
 sync=False round (final states throughout) makes none.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,32 +57,20 @@ class FlowState:
             raise ValueError("non-finite central state")
 
 
-@dataclass(frozen=True)
-class SensitivityModel:
-    """Per-client diagonal response gain: 1/dt_ref + weight * curvature.
-    A larger local dataset (larger weight) means a larger gain and a
-    correspondingly stronger pull on the consensus state."""
-
-    gain: np.ndarray          # (n_clients, d), entries >= 1/dt_ref > 0
-    inverse: np.ndarray = field(init=False, repr=False)   # 1 / gain
-
-    def __post_init__(self):
-        object.__setattr__(self, "gain", np.asarray(self.gain, dtype=np.float64))
-        if (self.gain <= 0).any():
-            raise ValueError("sensitivity gains must be positive")
-        object.__setattr__(self, "inverse", 1.0 / self.gain)
-
-
 def build_sensitivity(weights, hessian_diags, dt_ref):
-    """Constant aggregate sensitivity per client: 1/dt_ref + w_i * H_i
-    elementwise, from precomputed diagonal curvature estimates."""
+    """The sensitivity response g = 1 / (1/dt_ref + w_i * H_i), elementwise,
+    one row per client passed in: how far a client's state moves per unit of
+    flow, smaller for more data (w_i) or sharper curvature (H_i).  g is about
+    dt_ref where 1/dt_ref dominates (the window response when dt_ref is the
+    window) and 1/(w_i H_i) where it does not (the equilibrium response).
+    A round passes its active clients, with H_i at the state they downloaded."""
     if dt_ref <= 0:
         raise ValueError("dt_ref must be > 0")
     weights = np.asarray(weights, dtype=np.float64)
     hessians = np.asarray(hessian_diags, dtype=np.float64)
     if (hessians < 0).any():
         raise ValueError("curvature estimates must be >= 0")
-    return SensitivityModel(1.0 / dt_ref + weights[:, None] * hessians)
+    return 1.0 / (1.0 / dt_ref + weights[:, None] * hessians)
 
 
 @dataclass(frozen=True)
@@ -142,14 +130,14 @@ def resample(updates, tau, sync):
     return np.array([updates[i].final_state for i in sorted(updates)])
 
 
-def be_step(state, active, gam, sens, ctrl, dt, prev_flows):
+def be_step(state, active, gam, g, ctrl, dt, prev_flows):
     """One implicit step of the coupled central system from state.t_now to
     state.t_now + dt.
 
-    The active clients (sorted ids `active`) get their flow equations solved
-    against `gam`, their states resampled at state.t_now + dt; inactive
-    clients hold their last flows, which still enter the consensus row as
-    constants.  The arrow system is solved exactly per coordinate by
+    The active clients (sorted ids `active`, responses `g`) get their flow
+    equations solved against `gam`, their states resampled at state.t_now +
+    dt; inactive clients hold their last flows, which still enter the
+    consensus row as constants.  The arrow system is solved exactly per coordinate by
     eliminating the diagonal flow rows (Schur complement), O(n_active * d).
     """
     if dt <= 0:
@@ -159,7 +147,6 @@ def be_step(state, active, gam, sens, ctrl, dt, prev_flows):
     n, d = state.flows.shape
 
     L = ctrl.L
-    g = sens.inverse[active]                        # (n_a, d)
     flows_a = state.flows[active]
 
     inv_a = 1.0 / (1.0 + (dt / L) * g)              # 1 / a_i, the flow rows' diagonal
@@ -179,10 +166,10 @@ def be_step(state, active, gam, sens, ctrl, dt, prev_flows):
     return FlowState(x_c_new, flows_new, state.t_now + dt, state.gs_iter)
 
 
-def lte(state_before, state_after, active, gam_before, gam_after, sens, ctrl, prev_flows):
+def lte(state_before, state_after, active, gam_before, gam_after, g, ctrl, prev_flows):
     """Truncation-error estimates of the implicit step between two
     consecutive states, given the active clients' resampled states at both
-    ends.
+    ends and their sensitivity responses g.
 
     Returns (eps_c, eps_l): eps_c bounds the consensus-row error as
     dt/2 * |change in the summed flows| (max over coordinates); eps_l bounds
@@ -192,7 +179,6 @@ def lte(state_before, state_after, active, gam_before, gam_after, sens, ctrl, pr
     dt = state_after.t_now - state_before.t_now
     if dt <= 0:
         raise ValueError("states must be consecutive (dt > 0)")
-    g = sens.inverse[active]
     eps_c = 0.5 * dt * np.abs(
         state_after.flows[active].sum(axis=0)
         - state_before.flows[active].sum(axis=0)).max()
@@ -205,7 +191,7 @@ def lte(state_before, state_after, active, gam_before, gam_after, sens, ctrl, pr
     return float(eps_c), float(eps_l)
 
 
-def adaptive_step(state, updates, gam, sens, ctrl, dt, prev_flows, sync=True):
+def adaptive_step(state, updates, gam, g, ctrl, dt, prev_flows, sync=True):
     """Take one accepted implicit step from state, shrinking the trial step
     dt until both truncation-error estimates fall within ctrl.delta.
 
@@ -218,8 +204,8 @@ def adaptive_step(state, updates, gam, sens, ctrl, dt, prev_flows, sync=True):
     eps_c = eps_l = float("inf")
     for backtracks in range(ctrl.max_backtracks):
         gam_trial = resample(updates, state.t_now + dt, sync)
-        trial = be_step(state, active, gam_trial, sens, ctrl, dt, prev_flows)
-        eps_c, eps_l = lte(state, trial, active, gam, gam_trial, sens, ctrl, prev_flows)
+        trial = be_step(state, active, gam_trial, g, ctrl, dt, prev_flows)
+        eps_c, eps_l = lte(state, trial, active, gam, gam_trial, g, ctrl, prev_flows)
         worst = max(eps_c, eps_l)
         if worst <= ctrl.delta:
             return trial, gam_trial, dt, backtracks, eps_c, eps_l
@@ -236,12 +222,13 @@ STEP_DTYPE = np.dtype([("round_index", np.int64), ("tau", np.float64), ("dt", np
                        ("global_loss", np.float64)])
 
 
-def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
+def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
                     loss_fn=None, max_substeps=100000, state_sink=None):
     """Advance the central state across one communication round's window,
     [t_now, t_now + max(T_i)] over the active clients, by repeated adaptive
     implicit steps.
 
+    g is `build_sensitivity` over the active clients, in sorted id order.
     A step's first trial is the previous step (dt_seed, or none: ctrl.dt0)
     grown by ctrl.growth, capped by ctrl.dt0 and the rest of the window.
     The flow values clients saw this round (state.flows at entry) stay frozen
@@ -272,7 +259,7 @@ def consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
     while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
         dt = ctrl.dt0 if dt_last is None else min(ctrl.dt0, dt_last * ctrl.growth)
         new_state, gam, dt_last, backtracks, eps_c, eps_l = adaptive_step(
-            state, updates, gam, sens, ctrl, min(dt, t_end - state.t_now), prev_flows, sync)
+            state, updates, gam, g, ctrl, min(dt, t_end - state.t_now), prev_flows, sync)
         rows.append((state.gs_iter, new_state.t_now, dt_last, eps_c, eps_l, backtracks,
                      float(np.linalg.norm(new_state.x_c - state.x_c)),
                      float(loss_fn(new_state.x_c)) if loss_fn is not None else float("nan")))

@@ -80,14 +80,13 @@ _SECTIONS = {
         "fixed": {"lr": (float, 1e-3, None), "epochs": (int, 5, None)},
         "random": {"lr_min": (float, 1e-4, None), "lr_max": (float, 1e-3, None),
                    "epochs_min": (int, 1, None), "epochs_max": (int, 10, None)}}),
-    # StepController checks the first six fields.  A null sensitivity_dt_ref
-    # is dt0, a null hessian_samples takes every sample, and sync false
+    # StepController checks the first six fields.  A null sensitivity_dt_ref,
+    # the one knob of the sensitivity model (README), is dt0; sync false
     # replays the raw final states (no resampling).
     "algo_params": {
         "L": (float, 1.0, None), "delta": (float, 1e-3, None), "dt0": (float, 1e-2, None),
         "safety": (float, 0.9, None), "max_backtracks": (int, 40, None),
         "growth": (float, 2.0, None), "sensitivity_dt_ref": (float | None, None, _GT0),
-        "sensitivity_refresh": (int, 0, _GE0), "hessian_samples": (int | None, 64, _GE1),
         "sync": (bool, True, None), "mu": (float, 0.01, _GE0), "server_lr": (float, 1.0, _GT0)},
 }
 # bounds of the top-level fields, whose types and defaults are ExperimentConfig's
@@ -353,16 +352,6 @@ def run_experiment(cfg):
     state = FlowState(x_init.copy(), np.zeros((cfg.n_clients, d)), 0.0, 0)
     held = np.tile(x_init, (cfg.n_clients, 1))
     ctrl = cfg.controller()
-    hess_rng = np.random.default_rng([cfg.seed, 1701])
-
-    def curvatures(at_x):
-        return np.array([obj.mean_hessian(at_x, params["hessian_samples"], hess_rng)
-                         for obj in objectives])
-
-    # only FedECADO's central solve uses the curvature-based sensitivity model
-    sens = (build_sensitivity(weights, curvatures(x_init), params["sensitivity_dt_ref"])
-            if cfg.algo == "fedecado" else None)
-    refresh = params["sensitivity_refresh"]
     # FedProx differs from FedAvg only in its clients' proximal pull
     mu = params["mu"] if cfg.algo == "fedprox" else 0.0
 
@@ -391,14 +380,15 @@ def run_experiment(cfg):
                                               minibatch=cfg.minibatch, rng=mb_rng, mu=mu)
                        for i in active}
             if cfg.algo == "fedecado":
-                if refresh and rnd > 0 and rnd % refresh == 0:
-                    sens = build_sensitivity(weights, curvatures(state.x_c),
-                                             params["sensitivity_dt_ref"])
+                # the active clients' responses, from curvature where they start
+                g = build_sensitivity(weights[active],
+                                      [objectives[i].mean_hessian(state.x_c) for i in active],
+                                      params["sensitivity_dt_ref"])
                 sink = [] if cfg.record_flow_trace else None
                 # per-substep loss is only worth computing when a trace is kept
                 trace_loss = global_obj.loss if cfg.out_dir else None
                 state, records, dt_seed = consensus_round(
-                    state, updates, sens, ctrl, dt_seed, sync=params["sync"],
+                    state, updates, g, ctrl, dt_seed, sync=params["sync"],
                     loss_fn=trace_loss, state_sink=sink)
                 step_tables.append(records)
                 round_dts = records.dt.tolist()

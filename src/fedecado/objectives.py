@@ -121,7 +121,7 @@ class QuadraticObjective:
         x = _check_vector(x, self.dim)
         return self.matrix @ (x - self.center)
 
-    def mean_hessian(self, x=None, sample_budget=None, rng=None):
+    def mean_hessian(self, x=None):
         return np.diag(self.matrix).copy()
 
 
@@ -250,27 +250,14 @@ class LogisticObjective:
             grad *= len(self.dataset) / len(labels)
         return grad
 
-    def mean_hessian(self, x=None, sample_budget=None, rng=None):
-        """Diagonal Gauss-Newton curvature of the summed loss, estimated from
-        at most `sample_budget` samples (scaled back to full-sum scale)."""
+    def mean_hessian(self, x=None):
+        """Diagonal Gauss-Newton curvature of the summed loss, over every sample."""
         if x is None:
             x = np.zeros(self.dim)
         x = _check_vector(x, self.dim)
-        idx = _curvature_subsample(len(self.dataset), sample_budget, rng)
-        feats, p = self._probs(x, idx)
+        feats, p = self._probs(x)
         s = p * (1.0 - p)  # per-sample softmax curvature, PSD diagonal
-        diag = np.concatenate([((feats ** 2).T @ s).ravel(), s.sum(axis=0)])
-        return diag * (len(self.dataset) / len(feats))
-
-
-def _curvature_subsample(n, sample_budget, rng):
-    if sample_budget is None or sample_budget >= n:
-        return None
-    if sample_budget < 1:
-        raise ValueError("sample_budget must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return rng.choice(n, int(sample_budget), replace=False)
+        return np.concatenate([((feats ** 2).T @ s).ravel(), s.sum(axis=0)])
 
 
 class MlpObjective:
@@ -331,15 +318,12 @@ class MlpObjective:
             grad *= len(self.dataset) / len(labels)
         return grad
 
-    def mean_hessian(self, x=None, sample_budget=None, rng=None):
-        """Diagonal of the Gauss-Newton curvature (PSD by construction) of the
-        summed loss, subsampled to `sample_budget` and rescaled."""
+    def mean_hessian(self, x=None):
+        """Diagonal Gauss-Newton curvature (PSD by construction) of the summed loss."""
         if x is None:
             x = np.zeros(self.dim)
         x = _check_vector(x, self.dim)
-        idx = _curvature_subsample(len(self.dataset), sample_budget, rng)
-        feats, hid, p, w2 = self._forward(x, idx)
-        n_used = len(feats)
+        feats, hid, p, w2 = self._forward(x)
         s = p * (1.0 - p)                                     # (n, k)
         # per-sample quadratic form of each hidden unit's output row through
         # the softmax curvature: q[n,h] = w2[h]' (diag(p_n) - p_n p_n') w2[h]
@@ -350,8 +334,7 @@ class MlpObjective:
         d_b1 = (act ** 2 * q).sum(axis=0)                     # (h,)
         d_w2 = (hid ** 2).T @ s                               # (h, k)
         d_b2 = s.sum(axis=0)                                  # (k,)
-        diag = np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
-        return diag * (len(self.dataset) / n_used)
+        return np.concatenate([d_w1.ravel(), d_b1, d_w2.ravel(), d_b2])
 
 
 def accuracy(obj, x):

@@ -1,17 +1,17 @@
 """Independent brute-force verifiers: analytic minimizers, the per-client
-weighted global objective, finite-difference derivatives, a dense reference
-solve for the central step, a central round that resamples afresh at both
-ends of every trial, discounted trajectory norms, and the stability study
-that freezes the flow sign convention.  Everything here is
-deliberately simple and separate from the code paths it checks.  The
-randomized checks that the acceptance tests and `fedecado verify` share live
-here too, once each."""
+weighted global objective, finite-difference derivatives (of the losses and
+of a client window's response to its flow), a dense reference solve for the
+central step, a central round that resamples afresh at both ends of every
+trial, discounted trajectory norms, and the stability study that freezes the
+flow sign convention.  Everything here is deliberately simple and separate
+from the code paths it checks.  The randomized checks that the acceptance
+tests and `fedecado verify` share live here too, once each."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fedecado.clients import ClientUpdate
+from fedecado.clients import ClientUpdate, simulate_local
 from fedecado.consensus import (
     STEP_DTYPE,
     FlowState,
@@ -90,7 +90,25 @@ def finite_diff_hessian_diag(obj, x, h=1e-4):
     return diag
 
 
-def dense_be_reference(state, active, gam, sens, ctrl, dt, prev_flows):
+def client_response(obj, cfg, x, flow, h=1e-6):
+    """How far a client's window end state moves per unit change of its flow,
+    one coordinate at a time: central differences of `simulate_local` run
+    from x with drift -flow (the flow sign convention of `consensus`).  The
+    quantity the sensitivity response `g` of `build_sensitivity` models."""
+    if h <= 0:
+        raise ValueError("h must be > 0")
+    flow = np.asarray(flow, dtype=np.float64)
+    response = np.zeros_like(flow)
+    for j in range(len(flow)):
+        e = np.zeros_like(flow)
+        e[j] = h
+        up = simulate_local(obj, cfg, x, -(flow + e)).final_state[j]
+        down = simulate_local(obj, cfg, x, -(flow - e)).final_state[j]
+        response[j] = (up - down) / (2.0 * h)
+    return response
+
+
+def dense_be_reference(state, active, gam, g, ctrl, dt, prev_flows):
     """Assemble the full (n+1)d-square linear system of one central step and
     solve it densely; takes what `be_step` takes.  Used to validate the
     per-coordinate Schur elimination; desk scale only."""
@@ -99,7 +117,6 @@ def dense_be_reference(state, active, gam, sens, ctrl, dt, prev_flows):
         raise ValueError("dense reference is desk-scale only (n <= 16, d <= 32)")
     row = {int(i): k for k, i in enumerate(active)}
     L = ctrl.L
-    g = sens.inverse
     size = (n + 1) * d
     A = np.zeros((size, size))
     b = np.zeros(size)
@@ -108,10 +125,10 @@ def dense_be_reference(state, active, gam, sens, ctrl, dt, prev_flows):
     for i in range(n):
         sl = slice(i * d, (i + 1) * d)
         if i in row:
-            A[sl, sl] = np.diag(1.0 + (dt / L) * g[i])
+            A[sl, sl] = np.diag(1.0 + (dt / L) * g[row[i]])
             A[sl, xc_sl] = -(dt / L) * np.eye(d)
             b[i * d:(i + 1) * d] = state.flows[i] + (dt / L) * (-gam[row[i]]
-                                                                 + g[i] * prev_flows[i])
+                                                                 + g[row[i]] * prev_flows[i])
         else:
             A[sl, sl] = np.eye(d)
             b[i * d:(i + 1) * d] = state.flows[i]
@@ -125,7 +142,7 @@ def dense_be_reference(state, active, gam, sens, ctrl, dt, prev_flows):
     return FlowState(z[n * d:], z[: n * d].reshape(n, d), tau_new, state.gs_iter)
 
 
-def reference_consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=True,
+def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
                               loss_fn=None):
     """`consensus.consensus_round` without the carried resample: every trial
     resamples each active client afresh, at its end for the step and at
@@ -143,8 +160,8 @@ def reference_consensus_round(state, updates, sens, ctrl, dt_seed=None, sync=Tru
         dt = ctrl.dt0 if dt is None else min(ctrl.dt0, dt * ctrl.growth)
         dt = min(dt, t_end - state.t_now)
         for backtracks in range(ctrl.max_backtracks):
-            trial = be_step(state, active, fresh(state.t_now + dt), sens, ctrl, dt, prev_flows)
-            eps = lte(state, trial, active, fresh(state.t_now), fresh(trial.t_now), sens, ctrl,
+            trial = be_step(state, active, fresh(state.t_now + dt), g, ctrl, dt, prev_flows)
+            eps = lte(state, trial, active, fresh(state.t_now), fresh(trial.t_now), g, ctrl,
                       prev_flows)
             if max(eps) <= ctrl.delta:
                 break
@@ -358,13 +375,13 @@ def solver_discrepancy(seed, trials):
         for i in active:
             times = np.array([0.0, float(rng.uniform(0.05, 1.0))])
             updates[i] = ClientUpdate(i, times, rng.normal(size=(2, d)), float(times[1]))
-        sens = build_sensitivity(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 5.0, (n, d)),
-                                 float(rng.uniform(0.05, 1.0)))
+        g = build_sensitivity(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 5.0, (n, d)),
+                              float(rng.uniform(0.05, 1.0)))[active]
         ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
         dt = float(rng.uniform(0.001, 0.5))
         gam = resample(updates, dt, True)
-        fast = be_step(state, active, gam, sens, ctrl, dt, prev)
-        ref = dense_be_reference(state, active, gam, sens, ctrl, dt, prev)
+        fast = be_step(state, active, gam, g, ctrl, dt, prev)
+        ref = dense_be_reference(state, active, gam, g, ctrl, dt, prev)
         worst = np.max([worst, np.abs(fast.x_c - ref.x_c).max(),
                          np.abs(fast.flows - ref.flows).max()])
     return worst

@@ -184,7 +184,9 @@ def test_criterion_8_baseline_comparison_direction():
     assert medians["fedecado"] <= medians["fedprox"], medians
     assert elapsed <= 300.0, f"comparison took {elapsed:.0f}s"
     print(f"criterion 8: PASS - median losses fedecado={medians['fedecado']:.2f} "
-          f"<= fednova={medians['fednova']:.2f}, fedprox={medians['fedprox']:.2f} "
+          f"<= fednova={medians['fednova']:.2f}, fedprox={medians['fedprox']:.2f}; "
+          f"fednova/fedecado={medians['fednova'] / medians['fedecado']:.3f}, "
+          f"fedprox/fedecado={medians['fedprox'] / medians['fedecado']:.3f} "
           f"({elapsed:.0f}s)")
 
 

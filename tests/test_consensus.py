@@ -7,7 +7,6 @@ import fedecado.consensus as consensus
 from fedecado.clients import ClientConfig, ClientUpdate, simulate_local
 from fedecado.consensus import (
     FlowState,
-    SensitivityModel,
     StepController,
     StepControlError,
     adaptive_step,
@@ -93,17 +92,17 @@ class TestInterpState:
 
 class TestSensitivity:
     def test_formula(self):
-        model = build_sensitivity(np.array([0.5]), np.array([[2.0, 2.0]]), dt_ref=0.1)
-        np.testing.assert_allclose(model.gain, [[11.0, 11.0]])
+        g = build_sensitivity(np.array([0.5]), np.array([[2.0, 2.0]]), dt_ref=0.1)
+        np.testing.assert_allclose(g, [[1 / 11.0, 1 / 11.0]])
 
     def test_zero_weight_reduces_to_reference_term(self):
-        model = build_sensitivity(np.array([0.0]), np.array([[7.0, 3.0]]), dt_ref=0.25)
-        np.testing.assert_allclose(model.gain, [[4.0, 4.0]])
+        g = build_sensitivity(np.array([0.0]), np.array([[7.0, 3.0]]), dt_ref=0.25)
+        np.testing.assert_allclose(g, [[0.25, 0.25]])
 
     def test_larger_dataset_larger_gain(self):
         h = np.array([[3.0, 1.0], [3.0, 1.0]])
-        model = build_sensitivity(np.array([0.2, 0.7]), h, dt_ref=0.5)
-        assert (model.gain[1] > model.gain[0]).all()
+        g = build_sensitivity(np.array([0.2, 0.7]), h, dt_ref=0.5)
+        assert (1 / g[1] > 1 / g[0]).all()   # the gain is 1 / g
 
     def test_nonpositive_dt_ref_rejected(self):
         with pytest.raises(ValueError):
@@ -118,15 +117,15 @@ def _fixed_point_setup(n=1, d=1, x_val=2.0, window=1.0):
     x_c = np.full(d, x_val)
     state = FlowState(x_c, np.zeros((n, d)), 0.0, 0)
     updates = {i: _constant_update(x_c, window=window, cid=i) for i in range(n)}
-    sens = build_sensitivity(np.full(n, 1.0 / n), np.ones((n, d)), dt_ref=0.1)
-    return state, updates, sens
+    g = build_sensitivity(np.full(n, 1.0 / n), np.ones((n, d)), dt_ref=0.1)
+    return state, updates, g
 
 
 class TestBeStep:
     def test_fixed_point_preserved(self):
-        state, updates, sens = _fixed_point_setup(n=3, d=4)
+        state, updates, g = _fixed_point_setup(n=3, d=4)
         ctrl = StepController(L=0.7)
-        out = be_step(state, sorted(updates), resample(updates, 0.2, True), sens, ctrl, 0.2,
+        out = be_step(state, sorted(updates), resample(updates, 0.2, True), g, ctrl, 0.2,
                       state.flows)
         np.testing.assert_allclose(out.x_c, state.x_c, atol=1e-14)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-14)
@@ -137,9 +136,9 @@ class TestBeStep:
         L, dt = 1.0, 1.0
         state = FlowState(np.array([0.7]), np.array([[0.3]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[1.0], [2.0]]))
-        sens = SensitivityModel(np.array([[np.inf]]))
+        g = np.zeros((1, 1))
         ctrl = StepController(L=L)
-        out = be_step(state, [0], resample({0: upd}, dt, True), sens, ctrl, dt, state.flows)
+        out = be_step(state, [0], resample({0: upd}, dt, True), g, ctrl, dt, state.flows)
         gam = interp_state(upd, dt).item()
         lhs = np.array([[1.0, -dt / L], [dt, 1.0]])
         rhs = np.array([0.3 + (dt / L) * (-gam), 0.7])
@@ -153,12 +152,11 @@ class TestBeStep:
         state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
         prev = rng.normal(size=(n, d))
         updates = {i: _update([0.0, 0.5], rng.normal(size=(2, d)), cid=i) for i in range(n)}
-        sens = build_sensitivity(rng.uniform(0.1, 0.5, n), rng.uniform(0, 4, (n, d)), 0.2)
+        g = build_sensitivity(rng.uniform(0.1, 0.5, n), rng.uniform(0, 4, (n, d)), 0.2)
         ctrl = StepController(L=0.8)
         dt = 0.1
-        out = be_step(state, sorted(updates), resample(updates, dt, True), sens, ctrl, dt,
+        out = be_step(state, sorted(updates), resample(updates, dt, True), g, ctrl, dt,
                       prev_flows=prev)
-        g = sens.inverse
         for i in range(n):
             gam = interp_state(updates[i], dt)
             lhs = (1 + dt / ctrl.L * g[i]) * out.flows[i] - dt / ctrl.L * out.x_c
@@ -171,8 +169,8 @@ class TestBeStep:
         n, d = 4, 3
         state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
         updates = {1: _update([0.0, 0.5], rng.normal(size=(2, d)), cid=1)}
-        sens = build_sensitivity(np.full(n, 0.25), np.ones((n, d)), 0.1)
-        out = be_step(state, [1], resample(updates, 0.05, True), sens, StepController(), 0.05,
+        g = build_sensitivity(np.full(n, 0.25), np.ones((n, d)), 0.1)[[1]]
+        out = be_step(state, [1], resample(updates, 0.05, True), g, StepController(), 0.05,
                       state.flows)
         for i in (0, 2, 3):
             np.testing.assert_array_equal(out.flows[i], state.flows[i])
@@ -191,14 +189,14 @@ class TestBeStep:
             prev = rng.normal(size=(n, d))
             updates = {i: _update([0.0, float(rng.uniform(0.1, 1.0))],
                                   rng.normal(size=(2, d)), cid=i) for i in active}
-            sens = build_sensitivity(rng.uniform(0.05, 1.0, n),
-                                     rng.uniform(0.0, 5.0, (n, d)),
-                                     float(rng.uniform(0.05, 1.0)))
+            g = build_sensitivity(rng.uniform(0.05, 1.0, n),
+                                  rng.uniform(0.0, 5.0, (n, d)),
+                                  float(rng.uniform(0.05, 1.0)))[active]
             ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
             dt = float(rng.uniform(0.001, 0.5))
             gam = resample(updates, dt, True)
-            fast = be_step(state, active, gam, sens, ctrl, dt, prev)
-            ref = dense_be_reference(state, active, gam, sens, ctrl, dt, prev)
+            fast = be_step(state, active, gam, g, ctrl, dt, prev)
+            ref = dense_be_reference(state, active, gam, g, ctrl, dt, prev)
             worst = max(worst, np.abs(fast.x_c - ref.x_c).max(),
                         np.abs(fast.flows - ref.flows).max())
         assert worst <= 1e-10
@@ -206,11 +204,11 @@ class TestBeStep:
 
 class TestLte:
     def test_zero_at_fixed_point(self):
-        state, updates, sens = _fixed_point_setup(n=2, d=2)
+        state, updates, g = _fixed_point_setup(n=2, d=2)
         ctrl = StepController(L=0.5)
         active, gam = sorted(updates), resample(updates, 0.25, True)
-        after = be_step(state, active, gam, sens, ctrl, 0.25, state.flows)
-        eps_c, eps_l = lte(state, after, active, resample(updates, 0.0, True), gam, sens, ctrl,
+        after = be_step(state, active, gam, g, ctrl, 0.25, state.flows)
+        eps_c, eps_l = lte(state, after, active, resample(updates, 0.0, True), gam, g, ctrl,
                            state.flows)
         assert eps_c == pytest.approx(0.0, abs=1e-14)
         assert eps_l == pytest.approx(0.0, abs=1e-14)
@@ -218,13 +216,13 @@ class TestLte:
     def test_errors_shrink_on_converging_run(self):
         obj = QuadraticObjective(np.diag([5.0, 7.0]), np.array([1.0, -1.0]))
         cfg = ClientConfig(0, lr=0.01, epochs=20, weight=1.0)
-        sens = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.05)
+        g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.05)
         ctrl = StepController(dt0=0.21, delta=1e-2, L=0.1)
         state = FlowState(np.array([5.0, 5.0]), np.zeros((1, 2)), 0.0, 0)
         eps = []
         for _ in range(300):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
-            state, records, _ = consensus_round(state, {0: upd}, sens, ctrl)
+            state, records, _ = consensus_round(state, {0: upd}, g, ctrl)
             eps.extend(max(r.eps_c, r.eps_l) for r in records)
         assert np.linalg.norm(state.x_c - obj.center) <= 1e-8  # converged
         third = len(eps) // 3
@@ -239,22 +237,22 @@ class TestLte:
         flows_after[1, 2] = delta
         after = FlowState(x_c, flows_after, dt, 0)
         updates = {i: _constant_update(x_c, cid=i) for i in range(n)}
-        sens = build_sensitivity(np.full(n, 0.5), np.ones((n, d)), 0.1)
+        g = build_sensitivity(np.full(n, 0.5), np.ones((n, d)), 0.1)
         ctrl = StepController(L=L)
         eps_c, eps_l = lte(before, after, sorted(updates), resample(updates, 0.0, True),
-                           resample(updates, dt, True), sens, ctrl, before.flows)
+                           resample(updates, dt, True), g, ctrl, before.flows)
         assert eps_c == pytest.approx(0.5 * dt * delta)
-        # rhs change is -delta * gain_inverse in that coordinate
-        expected_l = dt / (2 * L) * delta * sens.inverse[1, 2]
+        # rhs change is -delta * g in that coordinate
+        expected_l = dt / (2 * L) * delta * g[1, 2]
         assert eps_l == pytest.approx(expected_l)
 
 
 class TestAdaptiveStep:
     def test_fixed_point_accepts_first_trial(self):
-        state, updates, sens = _fixed_point_setup(n=2, d=2)
+        state, updates, g = _fixed_point_setup(n=2, d=2)
         ctrl = StepController(dt0=0.3, delta=1e-3)
         out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, updates, resample(updates, 0.0, True), sens, ctrl, ctrl.dt0, state.flows)
+            state, updates, resample(updates, 0.0, True), g, ctrl, ctrl.dt0, state.flows)
         assert backtracks == 0
         assert dt_used == pytest.approx(0.3)
         assert max(eps_c, eps_l) == pytest.approx(0.0, abs=1e-14)
@@ -264,14 +262,14 @@ class TestAdaptiveStep:
         # tolerance: the retry must use dt = safety * (delta / eps) * dt0
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
-        sens = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
+        g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2, safety=0.9)
         gam0, gam1 = resample({0: upd}, 0.0, True), resample({0: upd}, ctrl.dt0, True)
-        trial = be_step(state, [0], gam1, sens, ctrl, ctrl.dt0, state.flows)
-        eps0 = max(*lte(state, trial, [0], gam0, gam1, sens, ctrl, state.flows))
+        trial = be_step(state, [0], gam1, g, ctrl, ctrl.dt0, state.flows)
+        eps0 = max(*lte(state, trial, [0], gam0, gam1, g, ctrl, state.flows))
         assert eps0 > ctrl.delta  # the constructed instance must force a retry
         out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, {0: upd}, gam0, sens, ctrl, ctrl.dt0, state.flows)
+            state, {0: upd}, gam0, g, ctrl, ctrl.dt0, state.flows)
         assert backtracks >= 1
         if backtracks == 1:
             assert dt_used == pytest.approx(ctrl.safety * (ctrl.delta / eps0) * ctrl.dt0)
@@ -282,20 +280,20 @@ class TestAdaptiveStep:
         # the tolerance
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
-        sens = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
+        g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2)
         _, _, _, backtracks, _, _ = adaptive_step(
-            state, {0: upd}, resample({0: upd}, 0.0, True), sens, ctrl, ctrl.dt0, state.flows)
+            state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, ctrl.dt0, state.flows)
         assert backtracks == 1
 
     def test_exhaustion_raises_with_diagnostics(self):
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
-        sens = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
+        g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         # one trial allowed and a tolerance the first trial cannot meet
         ctrl = StepController(dt0=0.5, delta=1e-9, max_backtracks=1, L=0.2)
         with pytest.raises(StepControlError) as err:
-            adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), sens, ctrl, ctrl.dt0,
+            adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, ctrl.dt0,
                           state.flows)
         assert err.value.dt > 0
         assert max(err.value.eps_c, err.value.eps_l) > 1e-9
@@ -303,9 +301,9 @@ class TestAdaptiveStep:
 
 class TestConsensusRound:
     def test_consensus_state_unchanged(self):
-        state, updates, sens = _fixed_point_setup(n=3, d=2)
+        state, updates, g = _fixed_point_setup(n=3, d=2)
         ctrl = StepController(dt0=0.4, delta=1e-3)
-        out, records, _ = consensus_round(state, updates, sens, ctrl)
+        out, records, _ = consensus_round(state, updates, g, ctrl)
         np.testing.assert_allclose(out.x_c, state.x_c, atol=1e-12)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
         assert out.gs_iter == state.gs_iter + 1
@@ -313,21 +311,21 @@ class TestConsensusRound:
     def test_window_beyond_substep_bound_fails_on_entry(self):
         # every accepted step has dt <= dt0, so a window longer than
         # (max_substeps + 1) * dt0 cannot finish and no step is tried
-        state, updates, sens = _fixed_point_setup(window=0.4 + 1e-9)
+        state, updates, g = _fixed_point_setup(window=0.4 + 1e-9)
         ctrl = StepController(dt0=0.1)
         sink = []
         with pytest.raises(StepControlError, match="needs more than 3 substeps"):
-            consensus_round(state, updates, sens, ctrl, max_substeps=3, state_sink=sink)
+            consensus_round(state, updates, g, ctrl, max_substeps=3, state_sink=sink)
         assert sink == []
 
     def test_window_inside_substep_bound_runs_step_loop(self):
         # just inside the bound: the round steps at dt0 until its fourth
         # substep breaks the max_substeps=3 budget
-        state, updates, sens = _fixed_point_setup(window=0.4)
+        state, updates, g = _fixed_point_setup(window=0.4)
         ctrl = StepController(dt0=0.1)
         sink = []
         with pytest.raises(StepControlError, match="exceeded 3 substeps"):
-            consensus_round(state, updates, sens, ctrl, max_substeps=3, state_sink=sink)
+            consensus_round(state, updates, g, ctrl, max_substeps=3, state_sink=sink)
         assert len(sink) == 5   # entry state plus four accepted substeps
 
     def test_window_covers_max_client_window(self):
@@ -335,9 +333,9 @@ class TestConsensusRound:
         windows = (1e-3, 5e-3, 1e-2)
         updates = {i: _constant_update([0.0], window=w, cid=i)
                    for i, w in enumerate(windows)}
-        sens = build_sensitivity(np.full(3, 1 / 3), np.ones((3, 1)), 0.1)
+        g = build_sensitivity(np.full(3, 1 / 3), np.ones((3, 1)), 0.1)
         ctrl = StepController(dt0=3e-3, delta=1e-2)
-        out, records, _ = consensus_round(state, updates, sens, ctrl)
+        out, records, _ = consensus_round(state, updates, g, ctrl)
         assert out.t_now == pytest.approx(1e-2, abs=1e-12)
         taus = [r.tau for r in records]
         assert max(taus) == pytest.approx(1e-2, abs=1e-12)
@@ -346,31 +344,31 @@ class TestConsensusRound:
     def test_single_client_quadratic_converges_to_center(self):
         obj = QuadraticObjective(np.diag([2.0, 4.0]), np.array([1.0, -2.0]))
         cfg = ClientConfig(0, lr=0.05, epochs=20, weight=1.0)
-        sens = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
+        g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
         ctrl = StepController(dt0=1.05, delta=1e-2, L=0.5)
         state = FlowState(np.zeros(2), np.zeros((1, 2)), 0.0, 0)
         for _ in range(200):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
-            state, _, _ = consensus_round(state, {0: upd}, sens, ctrl)
+            state, _, _ = consensus_round(state, {0: upd}, g, ctrl)
         assert np.linalg.norm(state.x_c - obj.center) <= 1e-6
 
     def test_all_accepted_steps_within_tolerance(self):
         obj = QuadraticObjective(np.diag([3.0, 1.0]), np.array([0.5, 0.5]))
         cfg = ClientConfig(0, lr=0.05, epochs=10, weight=1.0)
-        sens = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
+        g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
         ctrl = StepController(dt0=0.6, delta=1e-3, L=0.5)
         state = FlowState(np.array([4.0, -4.0]), np.zeros((1, 2)), 0.0, 0)
         for _ in range(30):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
-            state, records, _ = consensus_round(state, {0: upd}, sens, ctrl)
+            state, records, _ = consensus_round(state, {0: upd}, g, ctrl)
             for r in records:
                 assert max(r.eps_c, r.eps_l) <= ctrl.delta
 
     def test_state_sink_collects_substates(self):
-        state, updates, sens = _fixed_point_setup(n=2, d=2)
+        state, updates, g = _fixed_point_setup(n=2, d=2)
         ctrl = StepController(dt0=0.5, delta=1e-2)
         sink = []
-        out, records, _ = consensus_round(state, updates, sens, ctrl, state_sink=sink)
+        out, records, _ = consensus_round(state, updates, g, ctrl, state_sink=sink)
         assert len(sink) == len(records) + 1
         assert sink[0][0] == state.t_now
         assert sink[-1][0] == pytest.approx(out.t_now)
@@ -386,9 +384,10 @@ def _random_round(rng, n, n_active, d, delta, t0=0.0):
         updates[i] = ClientUpdate(i, t0 + lr * np.arange(k + 1),
                                   rng.normal(size=(k + 1, d)), k * lr)
     state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), t0, 0)
-    sens = build_sensitivity(rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 5.0, (n, d)), 0.05)
+    g = build_sensitivity(rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 5.0, (n, d)), 0.05)
+    g = g[active]     # the draws of all n clients, so each seed keeps its instance
     ctrl = StepController(dt0=0.05, delta=delta, L=float(rng.uniform(0.05, 1.0)))
-    return state, updates, sens, ctrl
+    return state, updates, g, ctrl
 
 
 def _same_round(fast, ref):
@@ -412,27 +411,27 @@ class TestCarriedResample:
     def test_matches_fresh_resample_reference(self, seed, n, d, sync, delta, t0, dt_seed):
         rng = np.random.default_rng(seed)
         n_active = int(rng.integers(1, n + 1))
-        state, updates, sens, ctrl = _random_round(rng, n, n_active, d, delta, t0)
+        state, updates, g, ctrl = _random_round(rng, n, n_active, d, delta, t0)
 
         def loss(x):
             return float(x @ x)
 
         try:
-            fast = consensus_round(state, updates, sens, ctrl, dt_seed, sync, loss)
+            fast = consensus_round(state, updates, g, ctrl, dt_seed, sync, loss)
         except StepControlError:
             with pytest.raises(StepControlError):
-                reference_consensus_round(state, updates, sens, ctrl, dt_seed, sync, loss)
+                reference_consensus_round(state, updates, g, ctrl, dt_seed, sync, loss)
             return
-        _same_round(fast, reference_consensus_round(state, updates, sens, ctrl, dt_seed,
+        _same_round(fast, reference_consensus_round(state, updates, g, ctrl, dt_seed,
                                                     sync, loss))
 
     @pytest.mark.parametrize("sync", [True, False])
     def test_backtracking_round_with_inactive_clients(self, sync):
-        state, updates, sens, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
+        state, updates, g, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
         assert len({u.window for u in updates.values()}) > 1
-        fast = consensus_round(state, updates, sens, ctrl, sync=sync)
+        fast = consensus_round(state, updates, g, ctrl, sync=sync)
         assert fast[1].backtracks.sum() > 0
-        _same_round(fast, reference_consensus_round(state, updates, sens, ctrl, sync=sync))
+        _same_round(fast, reference_consensus_round(state, updates, g, ctrl, sync=sync))
 
     @pytest.mark.parametrize("sync", [True, False])
     def test_interp_calls_per_round(self, monkeypatch, sync):
@@ -444,8 +443,8 @@ class TestCarriedResample:
             return interp(update, tau)
 
         monkeypatch.setattr(consensus, "interp_state", counting)
-        state, updates, sens, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
-        _, records, _ = consensus_round(state, updates, sens, ctrl, sync=sync)
+        state, updates, g, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
+        _, records, _ = consensus_round(state, updates, g, ctrl, sync=sync)
         trials = len(records) + int(records.backtracks.sum())
         assert trials > len(records)
         assert len(calls) == (len(updates) * (trials + 1) if sync else 0)
@@ -479,12 +478,12 @@ def test_two_client_round_reaches_weighted_minimizer():
             QuadraticObjective(np.diag([2.0, 6.0]), np.array([-1.0, 2.0]))]
     weights = np.array([0.3, 0.7])
     cfgs = [ClientConfig(i, lr=0.05, epochs=20, weight=weights[i]) for i in range(2)]
-    sens = build_sensitivity(weights, np.array([o.mean_hessian() for o in objs]), 0.1)
+    g = build_sensitivity(weights, np.array([o.mean_hessian() for o in objs]), 0.1)
     ctrl = StepController(dt0=1.05, delta=1e-2, L=0.5)
     state = FlowState(np.zeros(2), np.zeros((2, 2)), 0.0, 0)
     for _ in range(300):
         updates = {i: simulate_local(objs[i], cfgs[i], state.x_c, -state.flows[i],
                                      t_start=state.t_now) for i in range(2)}
-        state, _, _ = consensus_round(state, updates, sens, ctrl)
+        state, _, _ = consensus_round(state, updates, g, ctrl)
     x_star = quadratic_minimizer(objs, weights)
     assert np.linalg.norm(state.x_c - x_star) <= 1e-6

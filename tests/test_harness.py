@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 import fedecado.harness as harness
 from fedecado.cli import main as cli_main
-from fedecado.consensus import STEP_DTYPE
+from fedecado.consensus import STEP_DTYPE, build_sensitivity
 from fedecado.harness import (
     ConfigError,
     ExperimentConfig,
@@ -93,8 +93,8 @@ class TestConfig:
         assert cfg.heterogeneity == {"mode": "fixed", "lr": 1e-3, "epochs": 5}
         assert cfg.algo_params == {
             "L": 1.0, "delta": 1e-3, "dt0": 1e-2, "safety": 0.9, "max_backtracks": 40,
-            "growth": 2.0, "sensitivity_dt_ref": 1e-2, "sensitivity_refresh": 0,
-            "hessian_samples": 64, "sync": True, "mu": 0.01, "server_lr": 1.0}
+            "growth": 2.0, "sensitivity_dt_ref": 1e-2, "sync": True, "mu": 0.01,
+            "server_lr": 1.0}
         widened = ExperimentConfig(objective={"kind": "quadratic", "eig_max": 12}, n_clients=2,
                                    participation_ratio=1, algo_params={"L": 3})
         assert [type(v) for v in (widened.objective["eig_max"], widened.participation_ratio,
@@ -162,6 +162,15 @@ class TestRunExperiment:
         csv_a = metrics_to_csv(run_experiment(quad_config()).metrics_rows)
         csv_b = metrics_to_csv(run_experiment(quad_config()).metrics_rows)
         assert csv_a == csv_b
+
+    def test_wall_clock_times_rounds_and_changes_nothing_else(self):
+        timed = run_experiment(quad_config(rounds_max=5, wall_clock=True)).metrics_rows
+        plain = run_experiment(quad_config(rounds_max=5)).metrics_rows
+        assert len(timed) == len(plain) == 5
+        assert all(row["wall_ms"] > 0 for row in timed)
+        assert all(row["wall_ms"] == 0 for row in plain)
+        strip = [{k: v for k, v in row.items() if k != "wall_ms"} for row in timed]
+        assert strip == [{k: v for k, v in row.items() if k != "wall_ms"} for row in plain]
 
     def test_loss_not_increased_on_convex_run(self):
         res = run_experiment(quad_config())
@@ -273,7 +282,29 @@ class TestRunExperiment:
         run_experiment(quad_config(algo="fednova", rounds_max=3))
         assert calls == {"mean_hessian": 0, "build_sensitivity": 0}
         run_experiment(quad_config(rounds_max=3))
-        assert calls == {"mean_hessian": 3, "build_sensitivity": 1}
+        assert calls == {"mean_hessian": 9, "build_sensitivity": 3}   # 3 rounds x 3 clients
+
+    def test_sensitivity_built_each_round_from_active_clients(self, monkeypatch):
+        seen = []
+        consensus_round = harness.consensus_round
+
+        def capturing(state, updates, g, *args, **kwargs):
+            seen.append((state, sorted(updates), g))
+            return consensus_round(state, updates, g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "consensus_round", capturing)
+        cfg = logistic_config(participation_ratio=0.5, rounds_max=3)
+        res = run_experiment(cfg)
+        assert len(seen) == 3
+        for rnd, (state, active, g) in enumerate(seen):
+            assert active == sample_active_set(cfg.n_clients, 0.5, rnd, cfg.seed).tolist()
+            assert len(active) < cfg.n_clients
+            expected = build_sensitivity(
+                res.weights[active], [res.objectives[i].mean_hessian(state.x_c) for i in active],
+                cfg.algo_params["sensitivity_dt_ref"])
+            assert g.tobytes() == expected.tobytes()
+        # the curvature is taken where each round starts, not once at x_init
+        assert not np.array_equal(seen[0][0].x_c, seen[2][0].x_c)
 
     def test_mlp_run_finishes(self):
         cfg = ExperimentConfig(
@@ -295,14 +326,6 @@ class TestRunExperiment:
         for c in res.client_configs:
             assert 1e-4 <= c.lr <= 1e-3
             assert 1 <= c.epochs <= 10
-
-    def test_sensitivity_refresh_runs(self):
-        cfg = quad_config(rounds_max=12,
-                          algo_params={"L": 0.05, "delta": 1e-2, "dt0": 0.105,
-                                       "sensitivity_dt_ref": 0.05,
-                                       "sensitivity_refresh": 5})
-        res = run_experiment(cfg)
-        assert res.rounds_run == 12
 
     def test_minibatch_deterministic(self):
         cfg = dict(
@@ -396,8 +419,9 @@ class TestCli:
         ("algo_params", {"growth": 0.5}),
         ("algo_params", {"max_backtracks": 0}),
         ("algo_params", {"sensitivity_dt_ref": 0}),
-        ("algo_params", {"hessian_samples": 0}),
-        ("algo_params", {"sensitivity_refresh": -3}),
+        # removed knobs are unknown keys
+        ("algo_params.hessian_samples", {"hessian_samples": 0}),
+        ("algo_params.sensitivity_refresh", {"sensitivity_refresh": -3}),
         ("heterogeneity", {"mode": "fixed", "lr": 0}),
         ("heterogeneity", {"mode": "fixed", "epochs": 0}),
         ("heterogeneity", {"mode": "random", "lr_min": 1e-3, "lr_max": 1e-4}),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedecado.clients import ClientConfig, simulate_local
 from fedecado.consensus import (
@@ -15,6 +17,7 @@ from fedecado.oracles import (
     IMPLEMENTED_CENTRAL_SIGN,
     Trajectory,
     beta_norm,
+    client_response,
     contraction_ratio,
     coupled_system_matrix,
     dense_be_reference,
@@ -73,6 +76,24 @@ class TestFiniteDifferences:
             finite_diff_gradient(simple_quadratic, np.zeros(2), h=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(curv=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4),
+       weight=st.floats(0.05, 1.0), lr=st.floats(1e-3, 0.05), epochs=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_client_response_closed_form_on_diagonal_quadratics(curv, weight, lr, epochs, seed):
+    """A window of K Forward-Euler steps on w * h x^2 / 2 with drift -flow
+    moves its end state by (1 - (1 - lr w h)^K) / (w h) per unit of flow."""
+    rng = np.random.default_rng(seed)
+    h = np.array(curv)
+    obj = QuadraticObjective(np.diag(h), rng.normal(size=len(h)))
+    cfg = ClientConfig(0, lr=lr, epochs=epochs, weight=weight)
+    # the end state is affine in the flow, so a wide difference step is exact
+    response = client_response(obj, cfg, rng.normal(size=len(h)), rng.normal(size=len(h)),
+                               h=1e-3)
+    closed = (1.0 - (1.0 - lr * weight * h) ** epochs) / (weight * h)
+    np.testing.assert_allclose(response, closed, rtol=1e-6)
+
+
 def _constant_update(value, t0=0.0, window=1.0, cid=0):
     from fedecado.clients import ClientUpdate
     value = np.atleast_1d(np.asarray(value, dtype=float))
@@ -85,18 +106,17 @@ class TestDenseReference:
         x_c = np.full(3, 1.5)
         state = FlowState(x_c, np.zeros((2, 3)), 0.0, 0)
         updates = {i: _constant_update(x_c, cid=i) for i in range(2)}
-        sens = build_sensitivity(np.array([0.5, 0.5]), np.ones((2, 3)), 0.1)
-        out = dense_be_reference(state, [0, 1], resample(updates, 0.2, True), sens,
+        g = build_sensitivity(np.array([0.5, 0.5]), np.ones((2, 3)), 0.1)
+        out = dense_be_reference(state, [0, 1], resample(updates, 0.2, True), g,
                                  StepController(), 0.2, state.flows)
         np.testing.assert_allclose(out.x_c, x_c, atol=1e-12)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
 
     def test_scale_limit_enforced(self):
         state = FlowState(np.zeros(40), np.zeros((2, 40)), 0.0, 0)
-        sens = build_sensitivity(np.array([0.5, 0.5]), np.ones((2, 40)), 0.1)
         with pytest.raises(ValueError):
-            dense_be_reference(state, [], np.zeros((0, 40)), sens, StepController(), 0.1,
-                               state.flows)
+            dense_be_reference(state, [], np.zeros((0, 40)), np.zeros((0, 40)),
+                               StepController(), 0.1, state.flows)
 
 
 class TestBetaNorm:
@@ -199,7 +219,7 @@ def test_coupling_strength_speeds_contraction():
     flows_star = stationary_flows(objs, weights, x_star)
 
     def median_ratio(L):
-        sens = build_sensitivity(weights, hess, 0.05)
+        g = build_sensitivity(weights, hess, 0.05)
         ctrl = StepController(dt0=0.0525, delta=1e-2, L=L)
         state = FlowState(np.zeros(4), np.zeros((3, 4)), 0.0, 0)
         rounds = []
@@ -207,7 +227,7 @@ def test_coupling_strength_speeds_contraction():
             updates = {i: simulate_local(objs[i], cfgs[i], state.x_c, -state.flows[i],
                                          t_start=state.t_now) for i in range(3)}
             sink = []
-            state, _, _ = consensus_round(state, updates, sens, ctrl, state_sink=sink)
+            state, _, _ = consensus_round(state, updates, g, ctrl, state_sink=sink)
             times, states = zip(*sink)
             rounds.append(Trajectory(np.array(times), np.array(states)))
         ratios = contraction_ratio(rounds, x_star, flows_star)
