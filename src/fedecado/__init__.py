@@ -1,12 +1,13 @@
 """Continuous-time federated learning simulator.
 
-Clients integrate local gradient-flow ODEs over private time windows; a
-central agent reconciles their trajectories on a shared timescale with an
-implicit (Backward-Euler) solve over coupled flow variables, adapting its
-step size from local truncation error estimates.  FedAvg, FedProx and
-FedNova baselines share the same objectives, partitioner, local integrator
-and round loop: every algorithm's clients run the same windows, and only the
-server step (consensus round or aggregation rule) differs.
+Clients integrate local gradient-flow ODEs over private time windows, each
+recorded as a `Trajectory` of checkpoints; a central agent resamples those
+trajectories on a shared timescale and reconciles them with an implicit
+(Backward-Euler) solve over coupled flow variables, adapting its step size
+from local truncation error estimates.  FedAvg, FedProx and FedNova
+baselines share the same objectives, partitioner, local integrator and round
+loop: every algorithm's clients run the same windows, and only the server
+step (consensus round or aggregation rule) differs.
 """
 
 from fedecado.objectives import (
@@ -21,8 +22,8 @@ from fedecado.objectives import (
 from fedecado.partition import Partition, dirichlet_partition, iid_partition
 from fedecado.clients import (
     ClientConfig,
-    ClientUpdate,
     DivergenceError,
+    Trajectory,
     sample_heterogeneity,
     simulate_local,
 )
@@ -44,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClientConfig",
-    "ClientUpdate",
     "Dataset",
     "DivergenceError",
     "ExperimentConfig",
@@ -56,6 +56,7 @@ __all__ = [
     "QuadraticObjective",
     "StepController",
     "StepControlError",
+    "Trajectory",
     "adaptive_step",
     "be_step",
     "build_sensitivity",

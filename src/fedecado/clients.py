@@ -1,6 +1,6 @@
 """Client-side simulation: explicit (Forward-Euler) integration of the local
-gradient-flow ODE over a private time window, recording the checkpoint
-trajectory the central agent later resamples."""
+gradient-flow ODE over a private time window, recording its checkpoints as
+the `Trajectory` the central agent later resamples."""
 
 from dataclasses import dataclass
 
@@ -40,32 +40,13 @@ class ClientConfig:
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
-    """A client's recorded trajectory: strictly increasing checkpoint times
-    and matching states, spanning exactly its window."""
+class Trajectory:
+    """Bare (times, states) pair, states row-indexed by time.  A client
+    window's checkpoints are one; a recorded flow trace holds one per round,
+    each state concat(flows.ravel(), x_c)."""
 
-    client_id: int
-    times: np.ndarray   # (k,), k >= 2
-    states: np.ndarray  # (k, d)
-    window: float
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        s = np.asarray(self.states, dtype=np.float64)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-        if t.ndim != 1 or len(t) < 2:
-            raise ValueError("need at least 2 checkpoints")
-        if s.shape[0] != len(t):
-            raise ValueError("times/states length mismatch")
-        if not (np.diff(t) > 0).all():
-            raise ValueError("checkpoint times must be strictly increasing")
-        if abs((t[-1] - t[0]) - self.window) > 1e-12:
-            raise ValueError("checkpoint span does not match the window")
-
-    @property
-    def final_state(self):
-        return self.states[-1]
+    times: np.ndarray
+    states: np.ndarray
 
 
 def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=None,
@@ -76,7 +57,8 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=N
 
     for cfg.epochs steps, holding the drift term i_flow constant over the
     window; mu > 0 adds FedProx's proximal pull back to the start state.
-    Records one checkpoint per step plus the initial state.
+    Returns the window as a Trajectory: one checkpoint per step plus the
+    initial state, at times t_start + lr * k.
 
     minibatch selects a seeded random subset of that size per step and uses
     the rescaled stochastic gradient instead of the full one.
@@ -112,8 +94,7 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=N
                     f"(lr={cfg.lr:g})", step=step + 1)
             states.append(x)
 
-    times = t_start + cfg.lr * np.arange(cfg.epochs + 1)
-    return ClientUpdate(cfg.client_id, times, np.asarray(states), cfg.window)
+    return Trajectory(t_start + cfg.lr * np.arange(cfg.epochs + 1), np.asarray(states))
 
 
 def sample_heterogeneity(n_clients, seed, lr_range=(1e-4, 1e-3), epoch_range=(1, 10),

@@ -11,7 +11,8 @@ while a client integrates  dx_i/dt = -w_i grad f_i(x_i) + flow_i,  i.e. the
 drift handed to `simulate_local` is the *negative* of the stored flow.  The
 reverse pairing of central signs is an unstable saddle.
 
-x_i_hat is the trajectory value resampled at the synchronization time plus a
+x_i_hat is the client's window (the `clients.Trajectory` that
+`simulate_local` returns) resampled at the synchronization time, plus a
 first-order correction through the client's aggregate sensitivity for the
 flow change the client has not seen yet.
 
@@ -95,15 +96,6 @@ class StepController:
             raise ValueError("growth must be >= 1")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Bare (times, states) pair; states row-indexed by time.  A recorded
-    flow trace holds one per round, each state concat(flows.ravel(), x_c)."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-
 def interp_state(update, tau):
     """Piecewise-linear resampling of a checkpoint trajectory at time tau.
 
@@ -123,11 +115,11 @@ def interp_state(update, tau):
 
 def resample(updates, tau, sync):
     """The active clients' states at time tau as an (n_active, d) array in
-    sorted client order: each trajectory resampled at tau when sync is set,
-    otherwise each client's final state."""
+    sorted client order: each window resampled at tau when sync is set,
+    otherwise each window's final state, states[-1]."""
     if sync:
         return np.array([interp_state(updates[i], tau) for i in sorted(updates)])
-    return np.array([updates[i].final_state for i in sorted(updates)])
+    return np.array([updates[i].states[-1] for i in sorted(updates)])
 
 
 def be_step(state, active, gam, g, ctrl, dt, prev_flows):
@@ -225,8 +217,8 @@ STEP_DTYPE = np.dtype([("round_index", np.int64), ("tau", np.float64), ("dt", np
 def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
                     loss_fn=None, max_substeps=100000, state_sink=None):
     """Advance the central state across one communication round's window,
-    [t_now, t_now + max(T_i)] over the active clients, by repeated adaptive
-    implicit steps.
+    [t_now, latest checkpoint time] over the active clients' windows, by
+    repeated adaptive implicit steps.
 
     g is `build_sensitivity` over the active clients, in sorted id order.
     A step's first trial is the previous step (dt_seed, or none: ctrl.dt0)
@@ -242,7 +234,7 @@ def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
     """
     if not updates:
         raise ValueError("need at least one client update")
-    t_end = state.t_now + max(u.window for u in updates.values())
+    t_end = float(max(u.times[-1] for u in updates.values()))
     span = t_end - state.t_now
     # every accepted step has dt <= dt0, so a longer window cannot finish
     if span - 1e-12 * max(1.0, abs(t_end)) > (max_substeps + 1) * ctrl.dt0:

@@ -27,6 +27,7 @@ from fedecado.baselines import fedavg_round, fednova_round, fedprox_round
 from fedecado.clients import (
     ClientConfig,
     DivergenceError,
+    Trajectory,
     sample_heterogeneity,
     simulate_local,
 )
@@ -35,7 +36,6 @@ from fedecado.consensus import (
     FlowState,
     StepController,
     StepControlError,
-    Trajectory,
     build_sensitivity,
     consensus_round,
     steady_state_reached,
@@ -219,7 +219,7 @@ class ExperimentResult:
     final_x: np.ndarray
     metrics_rows: list
     step_records: np.recarray  # consensus.STEP_DTYPE, one row per accepted step
-    flow_trace: list            # one consensus.Trajectory per round when recorded
+    flow_trace: list            # one clients.Trajectory per round when recorded
     objectives: list
     weights: np.ndarray
     client_configs: list
@@ -394,7 +394,7 @@ def run_experiment(cfg):
                 round_dts = records.dt.tolist()
                 round_backtracks = int(records.backtracks.sum())
                 for i, upd in updates.items():
-                    held[i] = upd.final_state
+                    held[i] = upd.states[-1]
                 if cfg.record_flow_trace:
                     times, states = zip(*sink)
                     flow_trace.append(Trajectory(np.array(times), np.array(states)))
@@ -402,7 +402,7 @@ def run_experiment(cfg):
                 # looked up by name each round, so a wrapper set on this module is seen
                 server_rule = {"fedavg": fedavg_round, "fedprox": fedprox_round,
                                "fednova": fednova_round}[cfg.algo]
-                finals = np.array([upd.final_state for upd in updates.values()])
+                finals = np.array([upd.states[-1] for upd in updates.values()])
                 agg = server_rule(state.x_c, finals, [configs[i] for i in active])
                 x_next = state.x_c + params["server_lr"] * (agg - state.x_c)
                 held[active] = x_next

@@ -2,8 +2,9 @@
 weighted global objective, finite-difference derivatives (of the losses and
 of a client window's response to its flow), a dense reference solve for the
 central step, a central round that resamples afresh at both ends of every
-trial, discounted trajectory norms, and the stability study that freezes the
-flow sign convention.  Everything here is deliberately simple and separate
+trial, a resample that holds final states instead of extrapolating,
+discounted trajectory norms, and the stability study that freezes the flow
+sign convention.  Everything here is deliberately simple and separate
 from the code paths it checks.  The randomized checks that the acceptance
 tests and `fedecado verify` share live here too, once each."""
 
@@ -11,13 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from fedecado.clients import ClientUpdate, simulate_local
+from fedecado.clients import Trajectory, simulate_local
 from fedecado.consensus import (
     STEP_DTYPE,
     FlowState,
     StepController,
     StepControlError,
-    Trajectory,
     be_step,
     build_sensitivity,
     interp_state,
@@ -102,10 +102,17 @@ def client_response(obj, cfg, x, flow, h=1e-6):
     for j in range(len(flow)):
         e = np.zeros_like(flow)
         e[j] = h
-        up = simulate_local(obj, cfg, x, -(flow + e)).final_state[j]
-        down = simulate_local(obj, cfg, x, -(flow - e)).final_state[j]
+        up = simulate_local(obj, cfg, x, -(flow + e)).states[-1][j]
+        down = simulate_local(obj, cfg, x, -(flow - e)).states[-1][j]
         response[j] = (up - down) / (2.0 * h)
     return response
+
+
+def hold_state(update, tau):
+    """`interp_state` that holds a window's final state past its end instead
+    of extrapolating the last segment: the resample that synchronization
+    would be without extrapolation."""
+    return interp_state(update, min(tau, update.times[-1]))
 
 
 def dense_be_reference(state, active, gam, g, ctrl, dt, prev_flows):
@@ -151,10 +158,10 @@ def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
     active = sorted(updates)
 
     def fresh(tau):
-        return np.array([interp_state(updates[i], tau) if sync else updates[i].final_state
+        return np.array([interp_state(updates[i], tau) if sync else updates[i].states[-1]
                          for i in active])
 
-    t_end = state.t_now + max(u.window for u in updates.values())
+    t_end = float(max(u.times[-1] for u in updates.values()))
     prev_flows, rows, dt = state.flows.copy(), [], dt_seed
     while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
         dt = ctrl.dt0 if dt is None else min(ctrl.dt0, dt * ctrl.growth)
@@ -336,16 +343,15 @@ def interp_algebra(seed, trials):
         times = np.sort(rng.uniform(0.0, 1.0, k))
         while (np.diff(times) < 1e-2).any():
             times = np.sort(rng.uniform(0.0, 1.0, k))
-        w = float(times[-1] - times[0])
         ya = rng.uniform(-2.0, 2.0, (k, 2))
         yb = rng.uniform(-2.0, 2.0, (k, 2))
         alpha = float(rng.uniform(-3.0, 3.0))
-        ua = ClientUpdate(0, times, ya, w)
-        ub = ClientUpdate(0, times, yb, w)
-        usum = ClientUpdate(0, times, ya + yb, w)
-        uscale = ClientUpdate(0, times, alpha * ya, w)
-        hi = ClientUpdate(0, times, ya + rng.uniform(0.05, 1.0, (k, 2)), w)
-        const = ClientUpdate(0, times, np.full((k, 2), 1.75), w)
+        ua = Trajectory(times, ya)
+        ub = Trajectory(times, yb)
+        usum = Trajectory(times, ya + yb)
+        uscale = Trajectory(times, alpha * ya)
+        hi = Trajectory(times, ya + rng.uniform(0.05, 1.0, (k, 2)))
+        const = Trajectory(times, np.full((k, 2), 1.75))
         for tau in rng.uniform(times[0] - 0.5, times[-1] + 0.5, 5):
             worst_lin = np.max([
                 worst_lin,
@@ -374,7 +380,7 @@ def solver_discrepancy(seed, trials):
         updates = {}
         for i in active:
             times = np.array([0.0, float(rng.uniform(0.05, 1.0))])
-            updates[i] = ClientUpdate(i, times, rng.normal(size=(2, d)), float(times[1]))
+            updates[i] = Trajectory(times, rng.normal(size=(2, d)))
         g = build_sensitivity(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 5.0, (n, d)),
                               float(rng.uniform(0.05, 1.0)))[active]
         ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))

@@ -50,7 +50,7 @@ class TestFedProx:
         obj = _quad([1.0, 1.0], [50.0, 50.0])
         cfg = ClientConfig(0, lr=1e-7, epochs=10, weight=1.0)
         x0 = np.zeros(2)
-        final = simulate_local(obj, cfg, x0, np.zeros(2), mu=1e6).final_state
+        final = simulate_local(obj, cfg, x0, np.zeros(2), mu=1e6).states[-1]
         out = fedprox_round(x0, final[None, :], [cfg])
         assert np.linalg.norm(out - x0) <= 1e-3
 
@@ -59,7 +59,7 @@ class TestFedProx:
         cfg = ClientConfig(0, lr=lr, epochs=2, weight=w)
         x0 = np.array([2.0, 0.0])
         x = _local_gd(simple_quadratic, cfg, x0, mu)
-        final = simulate_local(simple_quadratic, cfg, x0, np.zeros(2), mu=mu).final_state
+        final = simulate_local(simple_quadratic, cfg, x0, np.zeros(2), mu=mu).states[-1]
         np.testing.assert_allclose(final, x, atol=1e-15)
         np.testing.assert_array_equal(fedprox_round(x0, final[None, :], [cfg]), final)
 

@@ -3,7 +3,6 @@ import pytest
 
 from fedecado.clients import (
     ClientConfig,
-    ClientUpdate,
     DivergenceError,
     sample_heterogeneity,
     simulate_local,
@@ -20,7 +19,7 @@ class TestSimulateLocal:
         obj = _unit_quadratic()
         cfg = ClientConfig(0, lr=0.1, epochs=1, weight=1.0)
         upd = simulate_local(obj, cfg, np.array([1.0, 0.0]), np.zeros(2))
-        np.testing.assert_allclose(upd.final_state, [0.9, 0.0])
+        np.testing.assert_allclose(upd.states[-1], [0.9, 0.0])
 
     def test_constant_drift_from_flow(self):
         # flat objective: the gradient vanishes everywhere, so the update is
@@ -30,7 +29,7 @@ class TestSimulateLocal:
         start = np.array([1.0, -2.0])
         drift = np.array([0.5, 0.5])
         upd = simulate_local(flat, cfg, start, drift)
-        np.testing.assert_allclose(upd.final_state, start - 0.3 * drift, atol=1e-15)
+        np.testing.assert_allclose(upd.states[-1], start - 0.3 * drift, atol=1e-15)
 
     def test_window_accounting(self):
         cfg = ClientConfig(3, lr=1e-3, epochs=3, weight=0.5)
@@ -52,7 +51,7 @@ class TestSimulateLocal:
         x = x0.copy()
         for _ in range(10):
             x = x - 0.05 * simple_quadratic.gradient(x)
-        np.testing.assert_array_equal(upd.final_state, x)
+        np.testing.assert_array_equal(upd.states[-1], x)
 
     def test_stable_step_loss_non_increasing(self, simple_quadratic):
         # lr < 2 / lambda_max = 0.5
@@ -76,7 +75,7 @@ class TestSimulateLocal:
         x = x0.copy()
         for _ in range(3):
             x = x - lr * (w * simple_quadratic.gradient(x) + drift + mu * (x - x0))
-        np.testing.assert_array_equal(upd.final_state, x)
+        np.testing.assert_array_equal(upd.states[-1], x)
 
     def test_minibatch_deterministic(self, blob_data):
         obj = LogisticObjective(blob_data)
@@ -93,20 +92,6 @@ class TestSimulateLocal:
         cfg = ClientConfig(0, lr=1e-3, epochs=2, weight=1.0)
         with pytest.raises(ValueError):
             simulate_local(obj, cfg, np.zeros(obj.dim), np.zeros(obj.dim), minibatch=4)
-
-
-class TestClientUpdate:
-    def test_requires_two_checkpoints(self):
-        with pytest.raises(ValueError):
-            ClientUpdate(0, np.array([0.0]), np.zeros((1, 2)), 0.0)
-
-    def test_strictly_increasing_times(self):
-        with pytest.raises(ValueError):
-            ClientUpdate(0, np.array([0.0, 0.0]), np.zeros((2, 2)), 0.0)
-
-    def test_window_consistency(self):
-        with pytest.raises(ValueError):
-            ClientUpdate(0, np.array([0.0, 1.0]), np.zeros((2, 2)), 2.0)
 
 
 class TestHeterogeneity:

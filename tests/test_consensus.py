@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedecado.consensus as consensus
-from fedecado.clients import ClientConfig, ClientUpdate, simulate_local
+from fedecado.clients import ClientConfig, Trajectory, simulate_local
 from fedecado.consensus import (
     FlowState,
     StepController,
@@ -22,18 +22,17 @@ from fedecado.objectives import QuadraticObjective
 from fedecado.oracles import dense_be_reference, quadratic_minimizer, reference_consensus_round
 
 
-def _update(times, states, cid=0):
+def _update(times, states):
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
-    return ClientUpdate(cid, times, states, float(times[-1] - times[0]))
+    return Trajectory(times, states)
 
 
-def _constant_update(value, t0=0.0, window=1.0, cid=0):
+def _constant_update(value, t0=0.0, window=1.0):
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    return ClientUpdate(cid, np.array([t0, t0 + window]),
-                        np.vstack([value, value]), window)
+    return Trajectory(np.array([t0, t0 + window]), np.vstack([value, value]))
 
 
 class TestInterpState:
@@ -57,6 +56,10 @@ class TestInterpState:
     def test_piecewise_uses_bracketing_segment(self):
         upd = _update([0.0, 1.0, 2.0], np.array([[0.0], [1.0], [3.0]]))
         np.testing.assert_allclose(interp_state(upd, 1.5), [2.0])
+
+    def test_requires_two_checkpoints(self):
+        with pytest.raises(ValueError, match="at least 2 checkpoints"):
+            interp_state(_update([0.0], np.zeros((1, 2))), 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -116,7 +119,7 @@ class TestSensitivity:
 def _fixed_point_setup(n=1, d=1, x_val=2.0, window=1.0):
     x_c = np.full(d, x_val)
     state = FlowState(x_c, np.zeros((n, d)), 0.0, 0)
-    updates = {i: _constant_update(x_c, window=window, cid=i) for i in range(n)}
+    updates = {i: _constant_update(x_c, window=window) for i in range(n)}
     g = build_sensitivity(np.full(n, 1.0 / n), np.ones((n, d)), dt_ref=0.1)
     return state, updates, g
 
@@ -151,7 +154,7 @@ class TestBeStep:
         n, d = 3, 5
         state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
         prev = rng.normal(size=(n, d))
-        updates = {i: _update([0.0, 0.5], rng.normal(size=(2, d)), cid=i) for i in range(n)}
+        updates = {i: _update([0.0, 0.5], rng.normal(size=(2, d))) for i in range(n)}
         g = build_sensitivity(rng.uniform(0.1, 0.5, n), rng.uniform(0, 4, (n, d)), 0.2)
         ctrl = StepController(L=0.8)
         dt = 0.1
@@ -168,7 +171,7 @@ class TestBeStep:
         rng = np.random.default_rng(11)
         n, d = 4, 3
         state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
-        updates = {1: _update([0.0, 0.5], rng.normal(size=(2, d)), cid=1)}
+        updates = {1: _update([0.0, 0.5], rng.normal(size=(2, d)))}
         g = build_sensitivity(np.full(n, 0.25), np.ones((n, d)), 0.1)[[1]]
         out = be_step(state, [1], resample(updates, 0.05, True), g, StepController(), 0.05,
                       state.flows)
@@ -188,7 +191,7 @@ class TestBeStep:
             state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
             prev = rng.normal(size=(n, d))
             updates = {i: _update([0.0, float(rng.uniform(0.1, 1.0))],
-                                  rng.normal(size=(2, d)), cid=i) for i in active}
+                                  rng.normal(size=(2, d))) for i in active}
             g = build_sensitivity(rng.uniform(0.05, 1.0, n),
                                   rng.uniform(0.0, 5.0, (n, d)),
                                   float(rng.uniform(0.05, 1.0)))[active]
@@ -236,7 +239,7 @@ class TestLte:
         delta = 0.37
         flows_after[1, 2] = delta
         after = FlowState(x_c, flows_after, dt, 0)
-        updates = {i: _constant_update(x_c, cid=i) for i in range(n)}
+        updates = {i: _constant_update(x_c) for i in range(n)}
         g = build_sensitivity(np.full(n, 0.5), np.ones((n, d)), 0.1)
         ctrl = StepController(L=L)
         eps_c, eps_l = lte(before, after, sorted(updates), resample(updates, 0.0, True),
@@ -331,7 +334,7 @@ class TestConsensusRound:
     def test_window_covers_max_client_window(self):
         state = FlowState(np.zeros(1), np.zeros((3, 1)), 0.0, 0)
         windows = (1e-3, 5e-3, 1e-2)
-        updates = {i: _constant_update([0.0], window=w, cid=i)
+        updates = {i: _constant_update([0.0], window=w)
                    for i, w in enumerate(windows)}
         g = build_sensitivity(np.full(3, 1 / 3), np.ones((3, 1)), 0.1)
         ctrl = StepController(dt0=3e-3, delta=1e-2)
@@ -340,6 +343,23 @@ class TestConsensusRound:
         taus = [r.tau for r in records]
         assert max(taus) == pytest.approx(1e-2, abs=1e-12)
         assert all(0.0 < t <= 1e-2 + 1e-12 for t in taus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(profiles=st.lists(st.tuples(st.floats(1e-4, 1e-3), st.integers(1, 10)),
+                             min_size=1, max_size=5),
+           t_now=st.floats(0.0, 50.0))
+    def test_round_ends_at_latest_checkpoint_bitwise(self, profiles, t_now):
+        # each window ends at fl(t_now + fl(lr * K)) and fl(lr * K) is the
+        # config's window, so the latest checkpoint is t_now + max(window)
+        obj = QuadraticObjective(np.diag([2.0, 4.0]), np.array([1.0, -2.0]))
+        cfgs = [ClientConfig(i, lr=lr, epochs=k) for i, (lr, k) in enumerate(profiles)]
+        n = len(cfgs)
+        state = FlowState(np.zeros(2), np.zeros((n, 2)), t_now, 0)
+        updates = {c.client_id: simulate_local(obj, c, state.x_c, np.zeros(2), t_start=t_now)
+                   for c in cfgs}
+        g = build_sensitivity(np.full(n, 1.0 / n), np.tile(obj.mean_hessian(), (n, 1)), 0.01)
+        out, _, _ = consensus_round(state, updates, g, StepController(dt0=0.0105, delta=1e-2))
+        assert out.t_now == state.t_now + max(c.window for c in cfgs)
 
     def test_single_client_quadratic_converges_to_center(self):
         obj = QuadraticObjective(np.diag([2.0, 4.0]), np.array([1.0, -2.0]))
@@ -381,8 +401,7 @@ def _random_round(rng, n, n_active, d, delta, t0=0.0):
     updates = {}
     for i in active:
         k, lr = int(rng.integers(1, 6)), float(rng.uniform(0.005, 0.03))
-        updates[i] = ClientUpdate(i, t0 + lr * np.arange(k + 1),
-                                  rng.normal(size=(k + 1, d)), k * lr)
+        updates[i] = Trajectory(t0 + lr * np.arange(k + 1), rng.normal(size=(k + 1, d)))
     state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), t0, 0)
     g = build_sensitivity(rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 5.0, (n, d)), 0.05)
     g = g[active]     # the draws of all n clients, so each seed keeps its instance
@@ -428,7 +447,7 @@ class TestCarriedResample:
     @pytest.mark.parametrize("sync", [True, False])
     def test_backtracking_round_with_inactive_clients(self, sync):
         state, updates, g, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
-        assert len({u.window for u in updates.values()}) > 1
+        assert len({u.times[-1] - u.times[0] for u in updates.values()}) > 1
         fast = consensus_round(state, updates, g, ctrl, sync=sync)
         assert fast[1].backtracks.sum() > 0
         _same_round(fast, reference_consensus_round(state, updates, g, ctrl, sync=sync))

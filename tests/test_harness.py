@@ -599,7 +599,8 @@ def test_benchmark_tracer_sees_every_layer(algo):
     """The benchmark's tracer wraps this program's layers from outside.  A
     traced run must give the untraced run's outputs, find every attach point,
     count the central steps the run recorded, and see the client windows of
-    every algorithm.  Retiring an attach point means editing this test."""
+    every algorithm, their local steps and their resamples.  Retiring an
+    attach point means editing this test."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     bench = importlib.util.module_from_spec(spec)
@@ -620,5 +621,13 @@ def test_benchmark_tracer_sees_every_layer(algo):
     assert layers["consensus.accepted_steps"] == len(traced.step_records)
     assert layers["consensus.rejected_trials"] == int(traced.step_records.backtracks.sum())
     assert layers["clients.simulate_local.calls"] == 40 * 3
+    # the counters that read each client window: the active clients' epochs,
+    # and n_active * (trials + 1) resamples per FedECADO round
+    assert layers["clients.local_steps"] == sum(
+        traced.client_configs[i].epochs
+        for rnd in range(40) for i in sample_active_set(10, 0.3, rnd, cfg.seed))
+    trials = len(traced.step_records) + int(traced.step_records.backtracks.sum())
+    assert layers["consensus.interp_state.calls"] == (3 * (trials + 40)
+                                                      if algo == "fedecado" else 0)
     if algo == "fednova":
         assert layers["baselines.round.calls"] == 40

@@ -94,18 +94,16 @@ def test_client_response_closed_form_on_diagonal_quadratics(curv, weight, lr, ep
     np.testing.assert_allclose(response, closed, rtol=1e-6)
 
 
-def _constant_update(value, t0=0.0, window=1.0, cid=0):
-    from fedecado.clients import ClientUpdate
+def _constant_update(value, t0=0.0, window=1.0):
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    return ClientUpdate(cid, np.array([t0, t0 + window]),
-                        np.vstack([value, value]), window)
+    return Trajectory(np.array([t0, t0 + window]), np.vstack([value, value]))
 
 
 class TestDenseReference:
     def test_fixed_point_preserved(self):
         x_c = np.full(3, 1.5)
         state = FlowState(x_c, np.zeros((2, 3)), 0.0, 0)
-        updates = {i: _constant_update(x_c, cid=i) for i in range(2)}
+        updates = {i: _constant_update(x_c) for i in range(2)}
         g = build_sensitivity(np.array([0.5, 0.5]), np.ones((2, 3)), 0.1)
         out = dense_be_reference(state, [0, 1], resample(updates, 0.2, True), g,
                                  StepController(), 0.2, state.flows)
