@@ -74,26 +74,26 @@ def build_sensitivity(weights, hessian_diags, dt_ref):
     return 1.0 / (1.0 / dt_ref + weights[:, None] * hessians)
 
 
+# the step policy's fixed constants, read at call time
+SAFETY = 0.9              # a trial over the tolerance retries at SAFETY * delta / error of its dt
+GROWTH = 2.0              # a step's first trial grows the last accepted dt by at most this
+MAX_BACKTRACKS = 40       # trials per accepted step
+MAX_SUBSTEPS = 100_000    # accepted steps per round
+
+
 @dataclass(frozen=True)
 class StepController:
     """Adaptive step-size policy: start from dt0, accept a step when the
     worst truncation-error estimate is within delta, otherwise shrink by
-    safety * delta / error and retry."""
+    SAFETY * delta / error and retry; L is the flow coupling constant."""
 
     dt0: float = 1e-2
     delta: float = 1e-3
     L: float = 1.0
-    safety: float = 0.9
-    max_backtracks: int = 40
-    growth: float = 2.0   # per-step regrowth cap toward dt0
 
     def __post_init__(self):
-        if min(self.dt0, self.delta, self.L, self.safety) <= 0 or self.safety > 1:
-            raise ValueError("dt0, delta, L must be > 0 and safety in (0, 1]")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
-        if self.growth < 1:
-            raise ValueError("growth must be >= 1")
+        if min(self.dt0, self.delta, self.L) <= 0:
+            raise ValueError("dt0, delta and L must be > 0")
 
 
 def interp_state(update, tau):
@@ -190,20 +190,20 @@ def adaptive_step(state, updates, gam, g, ctrl, dt, prev_flows, sync=True):
     gam is the resample at state.t_now; each trial resamples at its end.
     Returns (new_state, new_gam, dt_used, backtracks, eps_c, eps_l), new_gam
     being the resample at new_state.t_now.  Raises StepControlError when
-    max_backtracks trials all exceed the tolerance.
+    MAX_BACKTRACKS trials all exceed the tolerance.
     """
     active = sorted(updates)
     eps_c = eps_l = float("inf")
-    for backtracks in range(ctrl.max_backtracks):
+    for backtracks in range(MAX_BACKTRACKS):
         gam_trial = resample(updates, state.t_now + dt, sync)
         trial = be_step(state, active, gam_trial, g, ctrl, dt, prev_flows)
         eps_c, eps_l = lte(state, trial, active, gam, gam_trial, g, ctrl, prev_flows)
         worst = max(eps_c, eps_l)
         if worst <= ctrl.delta:
             return trial, gam_trial, dt, backtracks, eps_c, eps_l
-        dt = ctrl.safety * (ctrl.delta / worst) * dt
+        dt = SAFETY * (ctrl.delta / worst) * dt
     raise StepControlError(
-        f"no step within tolerance after {ctrl.max_backtracks} backtracks "
+        f"no step within tolerance after {MAX_BACKTRACKS} backtracks "
         f"(last dt={dt:.3e}, eps=({eps_c:.3e}, {eps_l:.3e}))", dt, eps_c, eps_l)
 
 
@@ -215,20 +215,20 @@ STEP_DTYPE = np.dtype([("round_index", np.int64), ("tau", np.float64), ("dt", np
 
 
 def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
-                    loss_fn=None, max_substeps=100000, state_sink=None):
+                    loss_fn=None, state_sink=None):
     """Advance the central state across one communication round's window,
     [t_now, latest checkpoint time] over the active clients' windows, by
     repeated adaptive implicit steps.
 
     g is `build_sensitivity` over the active clients, in sorted id order.
     A step's first trial is the previous step (dt_seed, or none: ctrl.dt0)
-    grown by ctrl.growth, capped by ctrl.dt0 and the rest of the window.
+    grown by GROWTH, capped by ctrl.dt0 and the rest of the window.
     The flow values clients saw this round (state.flows at entry) stay frozen
     as the previous-iterate term of every flow row.  Returns (final_state,
     records, last_dt), records holding one STEP_DTYPE row per accepted step.
     When state_sink is a list, the entry state and every accepted sub-step
     state are appended to it as (time, concat(flows.ravel(), x_c)) pairs.
-    Raises StepControlError when the round takes more than max_substeps
+    Raises StepControlError when the round takes more than MAX_SUBSTEPS
     steps, and up front when the window is too long for that many steps of
     at most ctrl.dt0.
     """
@@ -237,9 +237,9 @@ def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
     t_end = float(max(u.times[-1] for u in updates.values()))
     span = t_end - state.t_now
     # every accepted step has dt <= dt0, so a longer window cannot finish
-    if span - 1e-12 * max(1.0, abs(t_end)) > (max_substeps + 1) * ctrl.dt0:
+    if span - 1e-12 * max(1.0, abs(t_end)) > (MAX_SUBSTEPS + 1) * ctrl.dt0:
         raise StepControlError(
-            f"round window {span:g} needs more than {max_substeps} substeps "
+            f"round window {span:g} needs more than {MAX_SUBSTEPS} substeps "
             f"of at most dt0={ctrl.dt0:g}; the trajectory is likely diverging",
             ctrl.dt0, float("nan"), float("nan"))
     prev_flows = state.flows.copy()
@@ -249,7 +249,7 @@ def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
     if state_sink is not None:
         state_sink.append((state.t_now, np.concatenate([state.flows.ravel(), state.x_c])))
     while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
-        dt = ctrl.dt0 if dt_last is None else min(ctrl.dt0, dt_last * ctrl.growth)
+        dt = ctrl.dt0 if dt_last is None else min(ctrl.dt0, dt_last * GROWTH)
         new_state, gam, dt_last, backtracks, eps_c, eps_l = adaptive_step(
             state, updates, gam, g, ctrl, min(dt, t_end - state.t_now), prev_flows, sync)
         rows.append((state.gs_iter, new_state.t_now, dt_last, eps_c, eps_l, backtracks,
@@ -258,9 +258,9 @@ def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
         state = new_state
         if state_sink is not None:
             state_sink.append((state.t_now, np.concatenate([state.flows.ravel(), state.x_c])))
-        if len(rows) > max_substeps:
+        if len(rows) > MAX_SUBSTEPS:
             raise StepControlError(
-                f"round exceeded {max_substeps} substeps over a window of {span:g}; "
+                f"round exceeded {MAX_SUBSTEPS} substeps over a window of {span:g}; "
                 "the trajectory is likely diverging", dt_last, eps_c, eps_l)
     state = replace(state, t_now=t_end, gs_iter=state.gs_iter + 1)
     return state, np.array(rows, dtype=STEP_DTYPE).view(np.recarray), dt_last

@@ -80,13 +80,12 @@ _SECTIONS = {
         "fixed": {"lr": (float, 1e-3, None), "epochs": (int, 5, None)},
         "random": {"lr_min": (float, 1e-4, None), "lr_max": (float, 1e-3, None),
                    "epochs_min": (int, 1, None), "epochs_max": (int, 10, None)}}),
-    # StepController checks the first six fields.  A null sensitivity_dt_ref,
+    # StepController checks the first three fields.  A null sensitivity_dt_ref,
     # the one knob of the sensitivity model (README), is dt0; sync false
     # replays the raw final states (no resampling).
     "algo_params": {
         "L": (float, 1.0, None), "delta": (float, 1e-3, None), "dt0": (float, 1e-2, None),
-        "safety": (float, 0.9, None), "max_backtracks": (int, 40, None),
-        "growth": (float, 2.0, None), "sensitivity_dt_ref": (float | None, None, _GT0),
+        "sensitivity_dt_ref": (float | None, None, _GT0),
         "sync": (bool, True, None), "mu": (float, 0.01, _GE0), "server_lr": (float, 1.0, _GT0)},
 }
 # bounds of the top-level fields, whose types and defaults are ExperimentConfig's
@@ -186,8 +185,7 @@ class ExperimentConfig:
 
     def controller(self):
         """The central step controller these algo_params describe."""
-        return StepController(**{k: self.algo_params[k] for k in (
-            "dt0", "delta", "L", "safety", "max_backtracks", "growth")})
+        return StepController(**{k: self.algo_params[k] for k in ("dt0", "delta", "L")})
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -215,7 +213,6 @@ class ExperimentConfig:
 class ExperimentResult:
     config: ExperimentConfig
     status: str                 # converged | rounds_exhausted | diverged
-    rounds_run: int
     final_x: np.ndarray
     metrics_rows: list
     step_records: np.recarray  # consensus.STEP_DTYPE, one row per accepted step
@@ -225,6 +222,11 @@ class ExperimentResult:
     client_configs: list
     x_init: np.ndarray
     reason: str = ""            # why a diverged run stopped
+
+    @property
+    def rounds_run(self):
+        # every exit from the round loop leaves exactly one row per round run
+        return len(self.metrics_rows)
 
     @property
     def exit_code(self):
@@ -360,7 +362,6 @@ def run_experiment(cfg):
     flow_trace = []
     status = "rounds_exhausted"
     reason = ""
-    rounds_run = 0
     dt_seed = None
 
     for rnd in range(cfg.rounds_max):
@@ -405,6 +406,8 @@ def run_experiment(cfg):
                 finals = np.array([upd.states[-1] for upd in updates.values()])
                 agg = server_rule(state.x_c, finals, [configs[i] for i in active])
                 x_next = state.x_c + params["server_lr"] * (agg - state.x_c)
+                if not np.isfinite(x_next).all():
+                    raise FloatingPointError(f"{cfg.algo} server step produced non-finite values")
                 held[active] = x_next
                 state = FlowState(x_next, state.flows, state.t_now, state.gs_iter + 1)
         except (DivergenceError, StepControlError, FloatingPointError) as exc:
@@ -415,10 +418,8 @@ def run_experiment(cfg):
                 "backtracks": None})
             status = "diverged"
             reason = str(exc)
-            rounds_run = rnd + 1
             break
 
-        rounds_run = rnd + 1
         wall_ms = (time.perf_counter() - t_start) * 1e3 if cfg.wall_clock else 0.0
         row = {
             "round": rnd,
@@ -442,7 +443,7 @@ def run_experiment(cfg):
             break
 
     result = ExperimentResult(
-        config=cfg, status=status, rounds_run=rounds_run, final_x=state.x_c.copy(),
+        config=cfg, status=status, final_x=state.x_c.copy(),
         metrics_rows=metrics_rows, step_records=np.concatenate(step_tables).view(np.recarray),
         flow_trace=flow_trace, objectives=objectives, weights=weights,
         client_configs=configs, x_init=x_init, reason=reason)
@@ -456,5 +457,5 @@ def run_experiment(cfg):
             fh.write(trace_to_csv(result.step_records))
         with open(os.path.join(cfg.out_dir, "final_model.json"), "w", encoding="utf-8") as fh:
             json.dump({"x": result.final_x.tolist(), "status": status, "reason": reason,
-                       "rounds": rounds_run}, fh)
+                       "rounds": result.rounds_run}, fh)
     return result

@@ -122,7 +122,7 @@ class QuadraticObjective:
         return self.matrix @ (x - self.center)
 
     def mean_hessian(self, x=None):
-        return np.diag(self.matrix).copy()
+        return np.diag(self.matrix)   # numpy's read-only view of the constant diagonal
 
 
 def random_quadratic(dim, rng, eig_min, eig_max, center_scale=1.0):
@@ -250,10 +250,8 @@ class LogisticObjective:
             grad *= len(self.dataset) / len(labels)
         return grad
 
-    def mean_hessian(self, x=None):
+    def mean_hessian(self, x):
         """Diagonal Gauss-Newton curvature of the summed loss, over every sample."""
-        if x is None:
-            x = np.zeros(self.dim)
         x = _check_vector(x, self.dim)
         feats, p = self._probs(x)
         s = p * (1.0 - p)  # per-sample softmax curvature, PSD diagonal
@@ -318,10 +316,8 @@ class MlpObjective:
             grad *= len(self.dataset) / len(labels)
         return grad
 
-    def mean_hessian(self, x=None):
+    def mean_hessian(self, x):
         """Diagonal Gauss-Newton curvature (PSD by construction) of the summed loss."""
-        if x is None:
-            x = np.zeros(self.dim)
         x = _check_vector(x, self.dim)
         feats, hid, p, w2 = self._forward(x)
         s = p * (1.0 - p)                                     # (n, k)

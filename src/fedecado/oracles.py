@@ -14,6 +14,9 @@ import numpy as np
 
 from fedecado.clients import Trajectory, simulate_local
 from fedecado.consensus import (
+    GROWTH,
+    MAX_BACKTRACKS,
+    SAFETY,
     STEP_DTYPE,
     FlowState,
     StepController,
@@ -153,8 +156,8 @@ def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
                               loss_fn=None):
     """`consensus.consensus_round` without the carried resample: every trial
     resamples each active client afresh, at its end for the step and at
-    both ends for the error estimate.  Same step policy and record rows; no
-    substep budget and no state sink."""
+    both ends for the error estimate.  Same step policy and constants, same
+    record rows; no substep budget and no state sink."""
     active = sorted(updates)
 
     def fresh(tau):
@@ -164,15 +167,15 @@ def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
     t_end = float(max(u.times[-1] for u in updates.values()))
     prev_flows, rows, dt = state.flows.copy(), [], dt_seed
     while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
-        dt = ctrl.dt0 if dt is None else min(ctrl.dt0, dt * ctrl.growth)
+        dt = ctrl.dt0 if dt is None else min(ctrl.dt0, dt * GROWTH)
         dt = min(dt, t_end - state.t_now)
-        for backtracks in range(ctrl.max_backtracks):
+        for backtracks in range(MAX_BACKTRACKS):
             trial = be_step(state, active, fresh(state.t_now + dt), g, ctrl, dt, prev_flows)
             eps = lte(state, trial, active, fresh(state.t_now), fresh(trial.t_now), g, ctrl,
                       prev_flows)
             if max(eps) <= ctrl.delta:
                 break
-            dt = ctrl.safety * (ctrl.delta / max(eps)) * dt
+            dt = SAFETY * (ctrl.delta / max(eps)) * dt
         else:
             raise StepControlError("no step within tolerance", dt, *eps)
         rows.append((state.gs_iter, trial.t_now, dt, *eps, backtracks,

@@ -262,11 +262,11 @@ class TestAdaptiveStep:
 
     def test_backtrack_scaling_rule(self):
         # a moving single-client instance whose first trial violates the
-        # tolerance: the retry must use dt = safety * (delta / eps) * dt0
+        # tolerance: the retry must use dt = SAFETY * (delta / eps) * dt0
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
-        ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2, safety=0.9)
+        ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2)
         gam0, gam1 = resample({0: upd}, 0.0, True), resample({0: upd}, ctrl.dt0, True)
         trial = be_step(state, [0], gam1, g, ctrl, ctrl.dt0, state.flows)
         eps0 = max(*lte(state, trial, [0], gam0, gam1, g, ctrl, state.flows))
@@ -275,11 +275,11 @@ class TestAdaptiveStep:
             state, {0: upd}, gam0, g, ctrl, ctrl.dt0, state.flows)
         assert backtracks >= 1
         if backtracks == 1:
-            assert dt_used == pytest.approx(ctrl.safety * (ctrl.delta / eps0) * ctrl.dt0)
+            assert dt_used == pytest.approx(consensus.SAFETY * (ctrl.delta / eps0) * ctrl.dt0)
         assert max(eps_c, eps_l) <= ctrl.delta
 
     def test_quadratic_error_scaling_passes_second_trial(self):
-        # eps scales ~ dt^2, so one shrink by safety*delta/eps lands within
+        # eps scales ~ dt^2, so one shrink by SAFETY*delta/eps lands within
         # the tolerance
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
@@ -289,12 +289,13 @@ class TestAdaptiveStep:
             state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, ctrl.dt0, state.flows)
         assert backtracks == 1
 
-    def test_exhaustion_raises_with_diagnostics(self):
+    def test_exhaustion_raises_with_diagnostics(self, monkeypatch):
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         # one trial allowed and a tolerance the first trial cannot meet
-        ctrl = StepController(dt0=0.5, delta=1e-9, max_backtracks=1, L=0.2)
+        monkeypatch.setattr(consensus, "MAX_BACKTRACKS", 1)
+        ctrl = StepController(dt0=0.5, delta=1e-9, L=0.2)
         with pytest.raises(StepControlError) as err:
             adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, ctrl.dt0,
                           state.flows)
@@ -311,24 +312,26 @@ class TestConsensusRound:
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
         assert out.gs_iter == state.gs_iter + 1
 
-    def test_window_beyond_substep_bound_fails_on_entry(self):
+    def test_window_beyond_substep_bound_fails_on_entry(self, monkeypatch):
         # every accepted step has dt <= dt0, so a window longer than
-        # (max_substeps + 1) * dt0 cannot finish and no step is tried
+        # (MAX_SUBSTEPS + 1) * dt0 cannot finish and no step is tried
+        monkeypatch.setattr(consensus, "MAX_SUBSTEPS", 3)
         state, updates, g = _fixed_point_setup(window=0.4 + 1e-9)
         ctrl = StepController(dt0=0.1)
         sink = []
         with pytest.raises(StepControlError, match="needs more than 3 substeps"):
-            consensus_round(state, updates, g, ctrl, max_substeps=3, state_sink=sink)
+            consensus_round(state, updates, g, ctrl, state_sink=sink)
         assert sink == []
 
-    def test_window_inside_substep_bound_runs_step_loop(self):
+    def test_window_inside_substep_bound_runs_step_loop(self, monkeypatch):
         # just inside the bound: the round steps at dt0 until its fourth
-        # substep breaks the max_substeps=3 budget
+        # substep breaks a MAX_SUBSTEPS = 3 budget
+        monkeypatch.setattr(consensus, "MAX_SUBSTEPS", 3)
         state, updates, g = _fixed_point_setup(window=0.4)
         ctrl = StepController(dt0=0.1)
         sink = []
         with pytest.raises(StepControlError, match="exceeded 3 substeps"):
-            consensus_round(state, updates, g, ctrl, max_substeps=3, state_sink=sink)
+            consensus_round(state, updates, g, ctrl, state_sink=sink)
         assert len(sink) == 5   # entry state plus four accepted substeps
 
     def test_window_covers_max_client_window(self):

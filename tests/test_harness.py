@@ -39,6 +39,13 @@ def quad_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def overflow_config():
+    """A FedAvg run whose first server step overflows to infinity."""
+    return quad_config(algo="fedavg", objective={"kind": "quadratic", "dim": 4, "eig_min": 4.0,
+                                                 "eig_max": 8.0, "center_scale": 10.0},
+                       algo_params={"server_lr": 1e308}, rounds_max=5)
+
+
 def logistic_config(**overrides):
     base = dict(
         name="log", seed=1,
@@ -92,9 +99,8 @@ class TestConfig:
         assert cfg.partition == {"scheme": "iid"}
         assert cfg.heterogeneity == {"mode": "fixed", "lr": 1e-3, "epochs": 5}
         assert cfg.algo_params == {
-            "L": 1.0, "delta": 1e-3, "dt0": 1e-2, "safety": 0.9, "max_backtracks": 40,
-            "growth": 2.0, "sensitivity_dt_ref": 1e-2, "sync": True, "mu": 0.01,
-            "server_lr": 1.0}
+            "L": 1.0, "delta": 1e-3, "dt0": 1e-2, "sensitivity_dt_ref": 1e-2, "sync": True,
+            "mu": 0.01, "server_lr": 1.0}
         widened = ExperimentConfig(objective={"kind": "quadratic", "eig_max": 12}, n_clients=2,
                                    participation_ratio=1, algo_params={"L": 3})
         assert [type(v) for v in (widened.objective["eig_max"], widened.participation_ratio,
@@ -209,6 +215,13 @@ class TestRunExperiment:
         ok = run_experiment(quad_config(rounds_max=3, out_dir=str(tmp_path / "ok")))
         assert ok.reason == ""
         assert json.loads((tmp_path / "ok" / "final_model.json").read_text())["reason"] == ""
+
+    def test_server_step_overflow_diverges_with_reason(self):
+        res = run_experiment(overflow_config())
+        assert res.status == "diverged"
+        assert res.reason == "fedavg server step produced non-finite values"
+        assert res.rounds_run == len(res.metrics_rows) == 1
+        assert np.isnan(res.metrics_rows[-1]["global_loss"])
 
     def test_baselines_run_and_record(self):
         for algo in ("fedavg", "fedprox", "fednova"):
@@ -416,10 +429,11 @@ class TestCli:
     @pytest.mark.parametrize("path,override", [
         ("algo_params", {"L": 0}),
         ("algo_params", {"dt0": -1}),
-        ("algo_params", {"growth": 0.5}),
-        ("algo_params", {"max_backtracks": 0}),
+        ("algo_params.growth", {"growth": 0.5}),   # a removed knob
+        ("algo_params.max_backtracks", {"max_backtracks": 0}),   # a removed knob
         ("algo_params", {"sensitivity_dt_ref": 0}),
-        # removed knobs are unknown keys
+        # removed knobs are unknown keys; a removed knob's case keeps its place,
+        # so the ids of the cases after it stay the same
         ("algo_params.hessian_samples", {"hessian_samples": 0}),
         ("algo_params.sensitivity_refresh", {"sensitivity_refresh": -3}),
         ("heterogeneity", {"mode": "fixed", "lr": 0}),
@@ -440,7 +454,7 @@ class TestCli:
         ("seed", 3.5),
         ("seed", -1),
         ("rounds_max", 2.5),
-        ("algo_params.max_backtracks", {"max_backtracks": 2.5}),
+        ("algo_params.max_backtracks", {"max_backtracks": 2.5}),   # a removed knob
         ("n_clients", "2"),
         ("algo_params.L", {"L": "1"}),
         ("objective", "quadratic"),
@@ -452,7 +466,7 @@ class TestCli:
         ("objective.eig_min", {"kind": "quadratic", "eig_min": -1.0}),
         ("objective.n_samples", {"kind": "logistic", "n_samples": 2}),
         ("objective.hidden", {"kind": "mlp", "hidden": 0}),
-        ("algo_params.safety", {"safety": float("nan")}),
+        ("algo_params.safety", {"safety": float("nan")}),   # a removed knob
         ("tol", float("nan")),
         ("tol", 10**310),
         ("algo_params.delta", {"delta": float("inf")}),
@@ -507,6 +521,15 @@ class TestCli:
         result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
         assert result.exit_code == 1
         assert "diverged:" in result.stderr and "substeps" in result.stderr
+
+    def test_run_server_step_overflow_exit_one(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(overflow_config().to_json())
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert "diverged: fedavg server step" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_run_bad_config_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"
