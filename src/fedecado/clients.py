@@ -7,9 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# a client state past GUARD * (1 + max|x_start|) in magnitude has diverged
+GUARD = 1e12
+
+
 class DivergenceError(RuntimeError):
-    """Raised when a state vector leaves the finite range; carries the step
-    at which it happened (a too-large learning rate is the usual cause)."""
+    """Raised when a client state passes the GUARD magnitude or leaves the
+    finite range; carries the step at which it happened (a too-large
+    learning rate is the usual cause)."""
 
     def __init__(self, message, step=None):
         super().__init__(message)
@@ -58,7 +63,8 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=N
     for cfg.epochs steps, holding the drift term i_flow constant over the
     window; mu > 0 adds FedProx's proximal pull back to the start state.
     Returns the window as a Trajectory: one checkpoint per step plus the
-    initial state, at times t_start + lr * k.
+    initial state, at times t_start + lr * k.  Raises DivergenceError at the
+    first state past the GUARD magnitude.
 
     minibatch selects a seeded random subset of that size per step and uses
     the rescaled stochastic gradient instead of the full one.
@@ -76,6 +82,7 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=N
 
     # every step rebinds x to a fresh array, so recorded states never alias
     x = x0
+    limit = GUARD * (1.0 + np.abs(x0).max())
     states = [x0]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(cfg.epochs):
@@ -88,7 +95,7 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=N
             if mu:
                 direction = direction + mu * (x - x0)
             x = x - cfg.lr * direction
-            if not np.isfinite(x).all():
+            if not np.abs(x).max() <= limit:     # NaN and inf fail it too
                 raise DivergenceError(
                     f"client {cfg.client_id} diverged at local step {step + 1} "
                     f"(lr={cfg.lr:g})", step=step + 1)

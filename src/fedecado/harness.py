@@ -80,11 +80,11 @@ _SECTIONS = {
         "fixed": {"lr": (float, 1e-3, None), "epochs": (int, 5, None)},
         "random": {"lr_min": (float, 1e-4, None), "lr_max": (float, 1e-3, None),
                    "epochs_min": (int, 1, None), "epochs_max": (int, 10, None)}}),
-    # StepController checks the first three fields.  A null sensitivity_dt_ref,
-    # the one knob of the sensitivity model (README), is dt0; sync false
-    # replays the raw final states (no resampling).
+    # A null sensitivity_dt_ref, the one knob of the sensitivity model (README),
+    # is dt0, which has no other role; sync false replays the raw final states
+    # (no resampling).
     "algo_params": {
-        "L": (float, 1.0, None), "delta": (float, 1e-3, None), "dt0": (float, 1e-2, None),
+        "L": (float, 1.0, _GT0), "delta": (float, 1e-3, _GT0), "dt0": (float, 1e-2, _GT0),
         "sensitivity_dt_ref": (float | None, None, _GT0),
         "sync": (bool, True, None), "mu": (float, 0.01, _GE0), "server_lr": (float, 1.0, _GT0)},
 }
@@ -172,20 +172,17 @@ class ExperimentConfig:
                     _value(f.name, value, f.type, _BOUNDS.get(f.name), vars(self)))
         if self.algo_params["sensitivity_dt_ref"] is None:
             self.algo_params["sensitivity_dt_ref"] = self.algo_params["dt0"]
-        for section, build in (
-                ("heterogeneity", lambda: _client_configs(self, np.ones(self.n_clients))),
-                ("algo_params", self.controller)):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(f"{section}: {exc}") from exc
+        try:
+            _client_configs(self, np.ones(self.n_clients))
+        except ValueError as exc:
+            raise ConfigError(f"heterogeneity: {exc}") from exc
 
     def params(self):
         return self.algo_params
 
     def controller(self):
         """The central step controller these algo_params describe."""
-        return StepController(**{k: self.algo_params[k] for k in ("dt0", "delta", "L")})
+        return StepController(delta=self.algo_params["delta"], L=self.algo_params["L"])
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -405,7 +402,8 @@ def run_experiment(cfg):
                                "fednova": fednova_round}[cfg.algo]
                 finals = np.array([upd.states[-1] for upd in updates.values()])
                 agg = server_rule(state.x_c, finals, [configs[i] for i in active])
-                x_next = state.x_c + params["server_lr"] * (agg - state.x_c)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x_next = state.x_c + params["server_lr"] * (agg - state.x_c)
                 if not np.isfinite(x_next).all():
                     raise FloatingPointError(f"{cfg.algo} server step produced non-finite values")
                 held[active] = x_next

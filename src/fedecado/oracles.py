@@ -167,8 +167,8 @@ def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
     t_end = float(max(u.times[-1] for u in updates.values()))
     prev_flows, rows, dt = state.flows.copy(), [], dt_seed
     while t_end - state.t_now > 1e-12 * max(1.0, abs(t_end)):
-        dt = ctrl.dt0 if dt is None else min(ctrl.dt0, dt * GROWTH)
-        dt = min(dt, t_end - state.t_now)
+        rest = t_end - state.t_now
+        dt = rest if dt is None else min(dt * GROWTH, rest)
         for backtracks in range(MAX_BACKTRACKS):
             trial = be_step(state, active, fresh(state.t_now + dt), g, ctrl, dt, prev_flows)
             eps = lte(state, trial, active, fresh(state.t_now), fresh(trial.t_now), g, ctrl,

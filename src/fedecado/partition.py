@@ -51,7 +51,7 @@ def _weights_from_sizes(client_indices):
     return sizes / sizes.sum()
 
 
-def _repair_empty(parts, rng=None):
+def _repair_empty(parts):
     # move one sample from the largest client to each empty one; deterministic
     sizes = np.array([len(p) for p in parts])
     while (sizes == 0).any():

@@ -66,6 +66,12 @@ class TestSimulateLocal:
             simulate_local(simple_quadratic, cfg, np.array([2.0, 3.0]), np.zeros(2))
         assert err.value.step is not None and 1 <= err.value.step <= 5
 
+    def test_growing_state_stops_at_magnitude_guard(self, simple_quadratic):
+        # every state stays finite (up to about 1e38), but passes the guard
+        cfg = ClientConfig(0, lr=1e12, epochs=3, weight=1.0)
+        with pytest.raises(DivergenceError):
+            simulate_local(simple_quadratic, cfg, np.array([2.0, 3.0]), np.zeros(2))
+
     def test_proximal_pull_matches_hand_iteration(self, simple_quadratic):
         mu, lr, w = 0.3, 0.1, 0.5
         cfg = ClientConfig(0, lr=lr, epochs=3, weight=w)

@@ -220,7 +220,7 @@ class TestLte:
         obj = QuadraticObjective(np.diag([5.0, 7.0]), np.array([1.0, -1.0]))
         cfg = ClientConfig(0, lr=0.01, epochs=20, weight=1.0)
         g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.05)
-        ctrl = StepController(dt0=0.21, delta=1e-2, L=0.1)
+        ctrl = StepController(delta=1e-2, L=0.1)
         state = FlowState(np.array([5.0, 5.0]), np.zeros((1, 2)), 0.0, 0)
         eps = []
         for _ in range(300):
@@ -253,29 +253,29 @@ class TestLte:
 class TestAdaptiveStep:
     def test_fixed_point_accepts_first_trial(self):
         state, updates, g = _fixed_point_setup(n=2, d=2)
-        ctrl = StepController(dt0=0.3, delta=1e-3)
+        ctrl = StepController(delta=1e-3)
         out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, updates, resample(updates, 0.0, True), g, ctrl, ctrl.dt0, state.flows)
+            state, updates, resample(updates, 0.0, True), g, ctrl, 0.3, state.flows)
         assert backtracks == 0
         assert dt_used == pytest.approx(0.3)
         assert max(eps_c, eps_l) == pytest.approx(0.0, abs=1e-14)
 
     def test_backtrack_scaling_rule(self):
         # a moving single-client instance whose first trial violates the
-        # tolerance: the retry must use dt = SAFETY * (delta / eps) * dt0
+        # tolerance: the retry must use dt = SAFETY * (delta / eps) * dt
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
-        ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2)
-        gam0, gam1 = resample({0: upd}, 0.0, True), resample({0: upd}, ctrl.dt0, True)
-        trial = be_step(state, [0], gam1, g, ctrl, ctrl.dt0, state.flows)
+        ctrl = StepController(delta=1e-3, L=0.2)
+        gam0, gam1 = resample({0: upd}, 0.0, True), resample({0: upd}, 0.5, True)
+        trial = be_step(state, [0], gam1, g, ctrl, 0.5, state.flows)
         eps0 = max(*lte(state, trial, [0], gam0, gam1, g, ctrl, state.flows))
         assert eps0 > ctrl.delta  # the constructed instance must force a retry
         out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, {0: upd}, gam0, g, ctrl, ctrl.dt0, state.flows)
+            state, {0: upd}, gam0, g, ctrl, 0.5, state.flows)
         assert backtracks >= 1
         if backtracks == 1:
-            assert dt_used == pytest.approx(consensus.SAFETY * (ctrl.delta / eps0) * ctrl.dt0)
+            assert dt_used == pytest.approx(consensus.SAFETY * (ctrl.delta / eps0) * 0.5)
         assert max(eps_c, eps_l) <= ctrl.delta
 
     def test_quadratic_error_scaling_passes_second_trial(self):
@@ -284,9 +284,9 @@ class TestAdaptiveStep:
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
-        ctrl = StepController(dt0=0.5, delta=1e-3, L=0.2)
+        ctrl = StepController(delta=1e-3, L=0.2)
         _, _, _, backtracks, _, _ = adaptive_step(
-            state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, ctrl.dt0, state.flows)
+            state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, 0.5, state.flows)
         assert backtracks == 1
 
     def test_exhaustion_raises_with_diagnostics(self, monkeypatch):
@@ -295,9 +295,9 @@ class TestAdaptiveStep:
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         # one trial allowed and a tolerance the first trial cannot meet
         monkeypatch.setattr(consensus, "MAX_BACKTRACKS", 1)
-        ctrl = StepController(dt0=0.5, delta=1e-9, L=0.2)
+        ctrl = StepController(delta=1e-9, L=0.2)
         with pytest.raises(StepControlError) as err:
-            adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, ctrl.dt0,
+            adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, 0.5,
                           state.flows)
         assert err.value.dt > 0
         assert max(err.value.eps_c, err.value.eps_l) > 1e-9
@@ -306,29 +306,24 @@ class TestAdaptiveStep:
 class TestConsensusRound:
     def test_consensus_state_unchanged(self):
         state, updates, g = _fixed_point_setup(n=3, d=2)
-        ctrl = StepController(dt0=0.4, delta=1e-3)
+        ctrl = StepController(delta=1e-3)
         out, records, _ = consensus_round(state, updates, g, ctrl)
         np.testing.assert_allclose(out.x_c, state.x_c, atol=1e-12)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
         assert out.gs_iter == state.gs_iter + 1
 
-    def test_window_beyond_substep_bound_fails_on_entry(self, monkeypatch):
-        # every accepted step has dt <= dt0, so a window longer than
-        # (MAX_SUBSTEPS + 1) * dt0 cannot finish and no step is tried
-        monkeypatch.setattr(consensus, "MAX_SUBSTEPS", 3)
-        state, updates, g = _fixed_point_setup(window=0.4 + 1e-9)
-        ctrl = StepController(dt0=0.1)
-        sink = []
-        with pytest.raises(StepControlError, match="needs more than 3 substeps"):
-            consensus_round(state, updates, g, ctrl, state_sink=sink)
-        assert sink == []
-
-    def test_window_inside_substep_bound_runs_step_loop(self, monkeypatch):
-        # just inside the bound: the round steps at dt0 until its fourth
-        # substep breaks a MAX_SUBSTEPS = 3 budget
-        monkeypatch.setattr(consensus, "MAX_SUBSTEPS", 3)
+    def test_first_trial_is_the_window(self):
+        # with no previous step the first trial spans the whole window
         state, updates, g = _fixed_point_setup(window=0.4)
-        ctrl = StepController(dt0=0.1)
+        _, records, dt_last = consensus_round(state, updates, g, StepController())
+        assert len(records) == 1
+        assert records[0].dt == dt_last == 0.4
+
+    def test_round_beyond_substep_budget_fails(self, monkeypatch):
+        # a round that needs more accepted steps than MAX_SUBSTEPS stops after
+        # the step that breaks the budget
+        monkeypatch.setattr(consensus, "MAX_SUBSTEPS", 3)
+        state, updates, g, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
         sink = []
         with pytest.raises(StepControlError, match="exceeded 3 substeps"):
             consensus_round(state, updates, g, ctrl, state_sink=sink)
@@ -340,7 +335,7 @@ class TestConsensusRound:
         updates = {i: _constant_update([0.0], window=w)
                    for i, w in enumerate(windows)}
         g = build_sensitivity(np.full(3, 1 / 3), np.ones((3, 1)), 0.1)
-        ctrl = StepController(dt0=3e-3, delta=1e-2)
+        ctrl = StepController(delta=1e-2)
         out, records, _ = consensus_round(state, updates, g, ctrl)
         assert out.t_now == pytest.approx(1e-2, abs=1e-12)
         taus = [r.tau for r in records]
@@ -361,14 +356,14 @@ class TestConsensusRound:
         updates = {c.client_id: simulate_local(obj, c, state.x_c, np.zeros(2), t_start=t_now)
                    for c in cfgs}
         g = build_sensitivity(np.full(n, 1.0 / n), np.tile(obj.mean_hessian(), (n, 1)), 0.01)
-        out, _, _ = consensus_round(state, updates, g, StepController(dt0=0.0105, delta=1e-2))
+        out, _, _ = consensus_round(state, updates, g, StepController(delta=1e-2))
         assert out.t_now == state.t_now + max(c.window for c in cfgs)
 
     def test_single_client_quadratic_converges_to_center(self):
         obj = QuadraticObjective(np.diag([2.0, 4.0]), np.array([1.0, -2.0]))
         cfg = ClientConfig(0, lr=0.05, epochs=20, weight=1.0)
         g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
-        ctrl = StepController(dt0=1.05, delta=1e-2, L=0.5)
+        ctrl = StepController(delta=1e-2, L=0.5)
         state = FlowState(np.zeros(2), np.zeros((1, 2)), 0.0, 0)
         for _ in range(200):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
@@ -379,7 +374,7 @@ class TestConsensusRound:
         obj = QuadraticObjective(np.diag([3.0, 1.0]), np.array([0.5, 0.5]))
         cfg = ClientConfig(0, lr=0.05, epochs=10, weight=1.0)
         g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
-        ctrl = StepController(dt0=0.6, delta=1e-3, L=0.5)
+        ctrl = StepController(delta=1e-3, L=0.5)
         state = FlowState(np.array([4.0, -4.0]), np.zeros((1, 2)), 0.0, 0)
         for _ in range(30):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
@@ -389,7 +384,7 @@ class TestConsensusRound:
 
     def test_state_sink_collects_substates(self):
         state, updates, g = _fixed_point_setup(n=2, d=2)
-        ctrl = StepController(dt0=0.5, delta=1e-2)
+        ctrl = StepController(delta=1e-2)
         sink = []
         out, records, _ = consensus_round(state, updates, g, ctrl, state_sink=sink)
         assert len(sink) == len(records) + 1
@@ -408,7 +403,7 @@ def _random_round(rng, n, n_active, d, delta, t0=0.0):
     state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), t0, 0)
     g = build_sensitivity(rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 5.0, (n, d)), 0.05)
     g = g[active]     # the draws of all n clients, so each seed keeps its instance
-    ctrl = StepController(dt0=0.05, delta=delta, L=float(rng.uniform(0.05, 1.0)))
+    ctrl = StepController(delta=delta, L=float(rng.uniform(0.05, 1.0)))
     return state, updates, g, ctrl
 
 
@@ -501,7 +496,7 @@ def test_two_client_round_reaches_weighted_minimizer():
     weights = np.array([0.3, 0.7])
     cfgs = [ClientConfig(i, lr=0.05, epochs=20, weight=weights[i]) for i in range(2)]
     g = build_sensitivity(weights, np.array([o.mean_hessian() for o in objs]), 0.1)
-    ctrl = StepController(dt0=1.05, delta=1e-2, L=0.5)
+    ctrl = StepController(delta=1e-2, L=0.5)
     state = FlowState(np.zeros(2), np.zeros((2, 2)), 0.0, 0)
     for _ in range(300):
         updates = {i: simulate_local(objs[i], cfgs[i], state.x_c, -state.flows[i],

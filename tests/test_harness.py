@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,7 +210,8 @@ class TestRunExperiment:
         cfg = quad_config(heterogeneity={"mode": "fixed", "lr": 1e12, "epochs": 3},
                           rounds_max=10, out_dir=str(tmp_path / "div"))
         res = run_experiment(cfg)
-        assert "substeps" in res.reason
+        assert "diverged at local step" in res.reason
+        assert res.rounds_run == 1
         saved = json.loads((tmp_path / "div" / "final_model.json").read_text())
         assert saved["status"] == "diverged" and saved["reason"] == res.reason
         ok = run_experiment(quad_config(rounds_max=3, out_dir=str(tmp_path / "ok")))
@@ -222,6 +224,13 @@ class TestRunExperiment:
         assert res.reason == "fedavg server step produced non-finite values"
         assert res.rounds_run == len(res.metrics_rows) == 1
         assert np.isnan(res.metrics_rows[-1]["global_loss"])
+
+    def test_server_step_overflow_prints_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_experiment(overflow_config())
+        assert res.status == "diverged"
+        assert res.reason == "fedavg server step produced non-finite values"
 
     def test_baselines_run_and_record(self):
         for algo in ("fedavg", "fedprox", "fednova"):
@@ -520,7 +529,8 @@ class TestCli:
                                heterogeneity={"mode": "fixed", "lr": 1e12, "epochs": 3})
         result = CliRunner().invoke(cli_main, ["run", "--config", str(path)])
         assert result.exit_code == 1
-        assert "diverged:" in result.stderr and "substeps" in result.stderr
+        assert "diverged:" in result.stderr and "diverged at local step" in result.stderr
+        assert "after 1 rounds" in result.stdout
 
     def test_run_server_step_overflow_exit_one(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -218,7 +218,7 @@ def test_coupling_strength_speeds_contraction():
 
     def median_ratio(L):
         g = build_sensitivity(weights, hess, 0.05)
-        ctrl = StepController(dt0=0.0525, delta=1e-2, L=L)
+        ctrl = StepController(delta=1e-2, L=L)
         state = FlowState(np.zeros(4), np.zeros((3, 4)), 0.0, 0)
         rounds = []
         for _ in range(60):
