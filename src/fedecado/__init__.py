@@ -29,7 +29,6 @@ from fedecado.clients import (
 )
 from fedecado.consensus import (
     FlowState,
-    StepController,
     StepControlError,
     adaptive_step,
     be_step,
@@ -54,7 +53,6 @@ __all__ = [
     "MlpObjective",
     "Partition",
     "QuadraticObjective",
-    "StepController",
     "StepControlError",
     "Trajectory",
     "adaptive_step",

@@ -104,18 +104,15 @@ def simulate_local(obj, cfg, x_start, i_flow, t_start=0.0, minibatch=None, rng=N
     return Trajectory(t_start + cfg.lr * np.arange(cfg.epochs + 1), np.asarray(states))
 
 
-def sample_heterogeneity(n_clients, seed, lr_range=(1e-4, 1e-3), epoch_range=(1, 10),
-                         weights=None):
+def sample_heterogeneity(n_clients, seed, lr_range, epoch_range, weights):
     """Draw per-client compute profiles: lr uniform on lr_range, epochs
-    uniform integer on [epoch_range[0], epoch_range[1]].  Deterministic in
-    seed."""
+    uniform integer on [epoch_range[0], epoch_range[1]], client i weighing
+    weights[i].  Deterministic in seed."""
     if not (0 < lr_range[0] <= lr_range[1] and 1 <= epoch_range[0] <= epoch_range[1]):
         raise ValueError("need 0 < lr_min <= lr_max and 1 <= epochs_min <= epochs_max")
     rng = np.random.default_rng([int(seed), 9901])
     lrs = rng.uniform(lr_range[0], lr_range[1], n_clients)
     epochs = rng.integers(epoch_range[0], epoch_range[1] + 1, n_clients)
-    if weights is None:
-        weights = np.full(n_clients, 1.0 / n_clients)
     return [
         ClientConfig(i, float(lrs[i]), int(epochs[i]), float(weights[i]))
         for i in range(n_clients)

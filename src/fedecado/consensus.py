@@ -81,20 +81,6 @@ MAX_BACKTRACKS = 40       # trials per accepted step
 MAX_SUBSTEPS = 100_000    # accepted steps per round
 
 
-@dataclass(frozen=True)
-class StepController:
-    """Adaptive step-size policy: accept a step when the worst
-    truncation-error estimate is within delta, otherwise shrink by
-    SAFETY * delta / error and retry; L is the flow coupling constant."""
-
-    delta: float = 1e-3
-    L: float = 1.0
-
-    def __post_init__(self):
-        if min(self.delta, self.L) <= 0:
-            raise ValueError("delta and L must be > 0")
-
-
 def interp_state(update, tau):
     """Piecewise-linear resampling of a checkpoint trajectory at time tau.
 
@@ -121,9 +107,9 @@ def resample(updates, tau, sync):
     return np.array([updates[i].states[-1] for i in sorted(updates)])
 
 
-def be_step(state, active, gam, g, ctrl, dt, prev_flows):
+def be_step(state, active, gam, g, L, dt, prev_flows):
     """One implicit step of the coupled central system from state.t_now to
-    state.t_now + dt.
+    state.t_now + dt, with flow inductance L.
 
     The active clients (sorted ids `active`, responses `g`) get their flow
     equations solved against `gam`, their states resampled at state.t_now +
@@ -136,8 +122,6 @@ def be_step(state, active, gam, g, ctrl, dt, prev_flows):
     if not active:
         raise ValueError("need at least one active client")
     n, d = state.flows.shape
-
-    L = ctrl.L
     flows_a = state.flows[active]
 
     inv_a = 1.0 / (1.0 + (dt / L) * g)              # 1 / a_i, the flow rows' diagonal
@@ -157,7 +141,7 @@ def be_step(state, active, gam, g, ctrl, dt, prev_flows):
     return FlowState(x_c_new, flows_new, state.t_now + dt, state.gs_iter)
 
 
-def lte(state_before, state_after, active, gam_before, gam_after, g, ctrl, prev_flows):
+def lte(state_before, state_after, active, gam_before, gam_after, g, L, prev_flows):
     """Truncation-error estimates of the implicit step between two
     consecutive states, given the active clients' resampled states at both
     ends and their sensitivity responses g.
@@ -178,13 +162,14 @@ def lte(state_before, state_after, active, gam_before, gam_after, g, ctrl, prev_
                   - gam_before + prev_flows[active] * g)
     rhs_after = (state_after.x_c - state_after.flows[active] * g
                  - gam_after + prev_flows[active] * g)
-    eps_l = (dt / (2.0 * ctrl.L)) * np.abs(rhs_after - rhs_before).max()
+    eps_l = (dt / (2.0 * L)) * np.abs(rhs_after - rhs_before).max()
     return float(eps_c), float(eps_l)
 
 
-def adaptive_step(state, updates, gam, g, ctrl, dt, prev_flows, sync=True):
+def adaptive_step(state, updates, gam, g, delta, L, dt, prev_flows, sync=True):
     """Take one accepted implicit step from state, shrinking the trial step
-    dt until both truncation-error estimates fall within ctrl.delta.
+    dt until both truncation-error estimates fall within delta; L is the
+    flows' inductance.
 
     gam is the resample at state.t_now; each trial resamples at its end.
     Returns (new_state, new_gam, dt_used, backtracks, eps_c, eps_l), new_gam
@@ -195,12 +180,12 @@ def adaptive_step(state, updates, gam, g, ctrl, dt, prev_flows, sync=True):
     eps_c = eps_l = float("inf")
     for backtracks in range(MAX_BACKTRACKS):
         gam_trial = resample(updates, state.t_now + dt, sync)
-        trial = be_step(state, active, gam_trial, g, ctrl, dt, prev_flows)
-        eps_c, eps_l = lte(state, trial, active, gam, gam_trial, g, ctrl, prev_flows)
+        trial = be_step(state, active, gam_trial, g, L, dt, prev_flows)
+        eps_c, eps_l = lte(state, trial, active, gam, gam_trial, g, L, prev_flows)
         worst = max(eps_c, eps_l)
-        if worst <= ctrl.delta:
+        if worst <= delta:
             return trial, gam_trial, dt, backtracks, eps_c, eps_l
-        dt = SAFETY * (ctrl.delta / worst) * dt
+        dt = SAFETY * (delta / worst) * dt
     raise StepControlError(
         f"no step within tolerance after {MAX_BACKTRACKS} backtracks "
         f"(last dt={dt:.3e}, eps=({eps_c:.3e}, {eps_l:.3e}))", dt, eps_c, eps_l)
@@ -213,13 +198,14 @@ STEP_DTYPE = np.dtype([("round_index", np.int64), ("tau", np.float64), ("dt", np
                        ("global_loss", np.float64)])
 
 
-def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
+def consensus_round(state, updates, g, delta, L, dt_seed=None, sync=True,
                     loss_fn=None, state_sink=None):
     """Advance the central state across one communication round's window,
     [t_now, latest checkpoint time] over the active clients' windows, by
     repeated adaptive implicit steps.
 
-    g is `build_sensitivity` over the active clients, in sorted id order.
+    g is `build_sensitivity` over the active clients, in sorted id order;
+    delta is the error tolerance of every step and L the flows' inductance.
     A step's first trial is the previous step (dt_seed for the first step)
     grown by GROWTH, capped by the rest of the window; with no previous step
     it is the whole window.
@@ -245,7 +231,7 @@ def consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
         rest = t_end - state.t_now
         dt = rest if dt_last is None else min(dt_last * GROWTH, rest)
         new_state, gam, dt_last, backtracks, eps_c, eps_l = adaptive_step(
-            state, updates, gam, g, ctrl, dt, prev_flows, sync)
+            state, updates, gam, g, delta, L, dt, prev_flows, sync)
         rows.append((state.gs_iter, new_state.t_now, dt_last, eps_c, eps_l, backtracks,
                      float(np.linalg.norm(new_state.x_c - state.x_c)),
                      float(loss_fn(new_state.x_c)) if loss_fn is not None else float("nan")))

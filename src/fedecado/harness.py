@@ -34,7 +34,6 @@ from fedecado.clients import (
 from fedecado.consensus import (
     STEP_DTYPE,
     FlowState,
-    StepController,
     StepControlError,
     build_sensitivity,
     consensus_round,
@@ -179,10 +178,6 @@ class ExperimentConfig:
 
     def params(self):
         return self.algo_params
-
-    def controller(self):
-        """The central step controller these algo_params describe."""
-        return StepController(delta=self.algo_params["delta"], L=self.algo_params["L"])
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -350,7 +345,6 @@ def run_experiment(cfg):
 
     state = FlowState(x_init.copy(), np.zeros((cfg.n_clients, d)), 0.0, 0)
     held = np.tile(x_init, (cfg.n_clients, 1))
-    ctrl = cfg.controller()
     # FedProx differs from FedAvg only in its clients' proximal pull
     mu = params["mu"] if cfg.algo == "fedprox" else 0.0
 
@@ -386,8 +380,8 @@ def run_experiment(cfg):
                 # per-substep loss is only worth computing when a trace is kept
                 trace_loss = global_obj.loss if cfg.out_dir else None
                 state, records, dt_seed = consensus_round(
-                    state, updates, g, ctrl, dt_seed, sync=params["sync"],
-                    loss_fn=trace_loss, state_sink=sink)
+                    state, updates, g, params["delta"], params["L"], dt_seed,
+                    sync=params["sync"], loss_fn=trace_loss, state_sink=sink)
                 step_tables.append(records)
                 round_dts = records.dt.tolist()
                 round_backtracks = int(records.backtracks.sum())

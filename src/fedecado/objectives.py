@@ -121,7 +121,7 @@ class QuadraticObjective:
         x = _check_vector(x, self.dim)
         return self.matrix @ (x - self.center)
 
-    def mean_hessian(self, x=None):
+    def mean_hessian(self, x):
         return np.diag(self.matrix)   # numpy's read-only view of the constant diagonal
 
 

@@ -8,7 +8,7 @@ sign convention.  Everything here is deliberately simple and separate
 from the code paths it checks.  The randomized checks that the acceptance
 tests and `fedecado verify` share live here too, once each."""
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from fedecado.consensus import (
     SAFETY,
     STEP_DTYPE,
     FlowState,
-    StepController,
     StepControlError,
     be_step,
     build_sensitivity,
@@ -118,7 +117,7 @@ def hold_state(update, tau):
     return interp_state(update, min(tau, update.times[-1]))
 
 
-def dense_be_reference(state, active, gam, g, ctrl, dt, prev_flows):
+def dense_be_reference(state, active, gam, g, L, dt, prev_flows):
     """Assemble the full (n+1)d-square linear system of one central step and
     solve it densely; takes what `be_step` takes.  Used to validate the
     per-coordinate Schur elimination; desk scale only."""
@@ -126,7 +125,6 @@ def dense_be_reference(state, active, gam, g, ctrl, dt, prev_flows):
     if n > 16 or d > 32:
         raise ValueError("dense reference is desk-scale only (n <= 16, d <= 32)")
     row = {int(i): k for k, i in enumerate(active)}
-    L = ctrl.L
     size = (n + 1) * d
     A = np.zeros((size, size))
     b = np.zeros(size)
@@ -152,7 +150,7 @@ def dense_be_reference(state, active, gam, g, ctrl, dt, prev_flows):
     return FlowState(z[n * d:], z[: n * d].reshape(n, d), tau_new, state.gs_iter)
 
 
-def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
+def reference_consensus_round(state, updates, g, delta, L, dt_seed=None, sync=True,
                               loss_fn=None):
     """`consensus.consensus_round` without the carried resample: every trial
     resamples each active client afresh, at its end for the step and at
@@ -170,12 +168,12 @@ def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
         rest = t_end - state.t_now
         dt = rest if dt is None else min(dt * GROWTH, rest)
         for backtracks in range(MAX_BACKTRACKS):
-            trial = be_step(state, active, fresh(state.t_now + dt), g, ctrl, dt, prev_flows)
-            eps = lte(state, trial, active, fresh(state.t_now), fresh(trial.t_now), g, ctrl,
+            trial = be_step(state, active, fresh(state.t_now + dt), g, L, dt, prev_flows)
+            eps = lte(state, trial, active, fresh(state.t_now), fresh(trial.t_now), g, L,
                       prev_flows)
-            if max(eps) <= ctrl.delta:
+            if max(eps) <= delta:
                 break
-            dt = SAFETY * (ctrl.delta / max(eps)) * dt
+            dt = SAFETY * (delta / max(eps)) * dt
         else:
             raise StepControlError("no step within tolerance", dt, *eps)
         rows.append((state.gs_iter, trial.t_now, dt, *eps, backtracks,
@@ -186,41 +184,19 @@ def reference_consensus_round(state, updates, g, ctrl, dt_seed=None, sync=True,
     return state, np.array(rows, dtype=STEP_DTYPE).view(np.recarray), dt
 
 
-@dataclass(frozen=True)
-class BetaNormSpec:
-    """Exponentially discounted sup-norm over a trajectory window: the decay
-    rate beta, the horizon, and the evaluation grid (defaults to the sample
-    times, measured relative to the window start)."""
-
-    beta: float = 1.0
-    horizon: float = None
-    grid: np.ndarray = None
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-
-
-def beta_norm(trajectory, spec):
-    """max over the grid of exp(-beta * (tau - t0)) * max_component
-    |trajectory resampled at tau|."""
+def beta_norm(trajectory, beta):
+    """Exponentially discounted sup-norm of a trajectory window: max over
+    its sample times tau of exp(-beta * (tau - t0)) * max_component
+    |trajectory resampled at tau|, t0 being the window start."""
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
     times = np.asarray(trajectory.times, dtype=np.float64)
-    states = np.asarray(trajectory.states, dtype=np.float64)
+    traj = Trajectory(times, np.asarray(trajectory.states, dtype=np.float64))
     t0 = times[0]
-    horizon = spec.horizon if spec.horizon is not None else times[-1] - t0
-    grid = spec.grid
-    if grid is None:
-        grid = times - t0
-    grid = np.asarray(grid, dtype=np.float64)
-    if len(grid) == 0:
-        raise ValueError("empty evaluation grid")
-    if (grid < 0).any() or (grid > horizon + 1e-12).any():
-        raise ValueError("grid must lie within [0, horizon]")
-    traj = Trajectory(times, states)
     best = 0.0
-    for tau in grid:
+    for tau in times - t0:
         val = np.abs(interp_state(traj, t0 + tau)).max()
-        best = max(best, float(np.exp(-spec.beta * tau) * val))
+        best = max(best, float(np.exp(-beta * tau) * val))
     return best
 
 
@@ -245,7 +221,7 @@ def contraction_ratio(round_trajectories, x_star, stationary_flows=None, beta=1.
             target_flows = np.asarray(stationary_flows, dtype=np.float64).ravel()
         target = np.concatenate([target_flows, x_star])
         shifted = Trajectory(np.asarray(traj.times), states - target)
-        norms.append(beta_norm(shifted, BetaNormSpec(beta=beta)))
+        norms.append(beta_norm(shifted, beta))
     ratios = []
     for k in range(len(norms) - 1):
         ratios.append(0.0 if norms[k] == 0.0 else norms[k + 1] / norms[k])
@@ -386,11 +362,11 @@ def solver_discrepancy(seed, trials):
             updates[i] = Trajectory(times, rng.normal(size=(2, d)))
         g = build_sensitivity(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 5.0, (n, d)),
                               float(rng.uniform(0.05, 1.0)))[active]
-        ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
+        L = float(rng.uniform(0.05, 2.0))
         dt = float(rng.uniform(0.001, 0.5))
         gam = resample(updates, dt, True)
-        fast = be_step(state, active, gam, g, ctrl, dt, prev)
-        ref = dense_be_reference(state, active, gam, g, ctrl, dt, prev)
+        fast = be_step(state, active, gam, g, L, dt, prev)
+        ref = dense_be_reference(state, active, gam, g, L, dt, prev)
         worst = np.max([worst, np.abs(fast.x_c - ref.x_c).max(),
                          np.abs(fast.flows - ref.flows).max()])
     return worst
@@ -417,10 +393,6 @@ def gradient_errors(seed, trials):
 # ---------------------------------------------------------------------------
 # Self-contained verification suite (used by the `verify` CLI subcommand)
 # ---------------------------------------------------------------------------
-
-def _check_sign():
-    return verify_sign_convention()
-
 
 def _check_solver_equivalence(trials=20, seed=123):
     worst = solver_discrepancy(seed, trials)
@@ -469,7 +441,7 @@ def _check_series_bound(seed=23):
 def run_verification():
     """Run the oracle suite; returns a list of (name, ok, detail)."""
     checks = [
-        (("sign-convention-stability",), _check_sign),
+        (("sign-convention-stability",), verify_sign_convention),
         (("schur-vs-dense-solver",), _check_solver_equivalence),
         # one interp_algebra run reports both interpolation checks
         (("interp-linearity", "interp-order-and-constants"), _check_interp),

@@ -100,9 +100,13 @@ class TestSimulateLocal:
             simulate_local(obj, cfg, np.zeros(obj.dim), np.zeros(obj.dim), minibatch=4)
 
 
+def _uniform(n):
+    return np.full(n, 1.0 / n)
+
+
 class TestHeterogeneity:
     def test_ranges(self):
-        cfgs = sample_heterogeneity(200, seed=13)
+        cfgs = sample_heterogeneity(200, 13, (1e-4, 1e-3), (1, 10), _uniform(200))
         lrs = np.array([c.lr for c in cfgs])
         eps = np.array([c.epochs for c in cfgs])
         assert (lrs >= 1e-4).all() and (lrs <= 1e-3).all()
@@ -110,18 +114,19 @@ class TestHeterogeneity:
         assert set(np.unique(eps)) <= set(range(1, 11))
 
     def test_full_epoch_range_hit(self):
-        eps = np.array([c.epochs for c in sample_heterogeneity(2000, seed=3)])
+        eps = np.array([c.epochs for c in sample_heterogeneity(2000, 3, (1e-4, 1e-3), (1, 10),
+                                                             _uniform(2000))])
         assert set(np.unique(eps)) == set(range(1, 11))
 
     def test_deterministic(self):
-        a = sample_heterogeneity(20, seed=9)
-        b = sample_heterogeneity(20, seed=9)
+        a = sample_heterogeneity(20, 9, (1e-4, 1e-3), (1, 10), _uniform(20))
+        b = sample_heterogeneity(20, 9, (1e-4, 1e-3), (1, 10), _uniform(20))
         assert [(c.lr, c.epochs) for c in a] == [(c.lr, c.epochs) for c in b]
 
     def test_weights_passed_through(self):
         w = np.linspace(0.1, 0.4, 4)
         w = w / w.sum()
-        cfgs = sample_heterogeneity(4, seed=1, weights=w)
+        cfgs = sample_heterogeneity(4, 1, (1e-4, 1e-3), (1, 10), w)
         np.testing.assert_allclose([c.weight for c in cfgs], w)
 
     def test_invalid_config_rejected(self):

@@ -7,7 +7,6 @@ import fedecado.consensus as consensus
 from fedecado.clients import ClientConfig, Trajectory, simulate_local
 from fedecado.consensus import (
     FlowState,
-    StepController,
     StepControlError,
     adaptive_step,
     be_step,
@@ -127,8 +126,7 @@ def _fixed_point_setup(n=1, d=1, x_val=2.0, window=1.0):
 class TestBeStep:
     def test_fixed_point_preserved(self):
         state, updates, g = _fixed_point_setup(n=3, d=4)
-        ctrl = StepController(L=0.7)
-        out = be_step(state, sorted(updates), resample(updates, 0.2, True), g, ctrl, 0.2,
+        out = be_step(state, sorted(updates), resample(updates, 0.2, True), g, 0.7, 0.2,
                       state.flows)
         np.testing.assert_allclose(out.x_c, state.x_c, atol=1e-14)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-14)
@@ -140,8 +138,7 @@ class TestBeStep:
         state = FlowState(np.array([0.7]), np.array([[0.3]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[1.0], [2.0]]))
         g = np.zeros((1, 1))
-        ctrl = StepController(L=L)
-        out = be_step(state, [0], resample({0: upd}, dt, True), g, ctrl, dt, state.flows)
+        out = be_step(state, [0], resample({0: upd}, dt, True), g, L, dt, state.flows)
         gam = interp_state(upd, dt).item()
         lhs = np.array([[1.0, -dt / L], [dt, 1.0]])
         rhs = np.array([0.3 + (dt / L) * (-gam), 0.7])
@@ -156,14 +153,13 @@ class TestBeStep:
         prev = rng.normal(size=(n, d))
         updates = {i: _update([0.0, 0.5], rng.normal(size=(2, d))) for i in range(n)}
         g = build_sensitivity(rng.uniform(0.1, 0.5, n), rng.uniform(0, 4, (n, d)), 0.2)
-        ctrl = StepController(L=0.8)
-        dt = 0.1
-        out = be_step(state, sorted(updates), resample(updates, dt, True), g, ctrl, dt,
+        L, dt = 0.8, 0.1
+        out = be_step(state, sorted(updates), resample(updates, dt, True), g, L, dt,
                       prev_flows=prev)
         for i in range(n):
             gam = interp_state(updates[i], dt)
-            lhs = (1 + dt / ctrl.L * g[i]) * out.flows[i] - dt / ctrl.L * out.x_c
-            rhs = state.flows[i] + dt / ctrl.L * (-gam + g[i] * prev[i])
+            lhs = (1 + dt / L * g[i]) * out.flows[i] - dt / L * out.x_c
+            rhs = state.flows[i] + dt / L * (-gam + g[i] * prev[i])
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
         np.testing.assert_allclose(out.x_c + dt * out.flows.sum(axis=0), state.x_c, atol=1e-10)
 
@@ -173,8 +169,7 @@ class TestBeStep:
         state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), 0.0, 0)
         updates = {1: _update([0.0, 0.5], rng.normal(size=(2, d)))}
         g = build_sensitivity(np.full(n, 0.25), np.ones((n, d)), 0.1)[[1]]
-        out = be_step(state, [1], resample(updates, 0.05, True), g, StepController(), 0.05,
-                      state.flows)
+        out = be_step(state, [1], resample(updates, 0.05, True), g, 1.0, 0.05, state.flows)
         for i in (0, 2, 3):
             np.testing.assert_array_equal(out.flows[i], state.flows[i])
         # held flows still drive the consensus row
@@ -195,11 +190,11 @@ class TestBeStep:
             g = build_sensitivity(rng.uniform(0.05, 1.0, n),
                                   rng.uniform(0.0, 5.0, (n, d)),
                                   float(rng.uniform(0.05, 1.0)))[active]
-            ctrl = StepController(L=float(rng.uniform(0.05, 2.0)))
+            L = float(rng.uniform(0.05, 2.0))
             dt = float(rng.uniform(0.001, 0.5))
             gam = resample(updates, dt, True)
-            fast = be_step(state, active, gam, g, ctrl, dt, prev)
-            ref = dense_be_reference(state, active, gam, g, ctrl, dt, prev)
+            fast = be_step(state, active, gam, g, L, dt, prev)
+            ref = dense_be_reference(state, active, gam, g, L, dt, prev)
             worst = max(worst, np.abs(fast.x_c - ref.x_c).max(),
                         np.abs(fast.flows - ref.flows).max())
         assert worst <= 1e-10
@@ -208,10 +203,9 @@ class TestBeStep:
 class TestLte:
     def test_zero_at_fixed_point(self):
         state, updates, g = _fixed_point_setup(n=2, d=2)
-        ctrl = StepController(L=0.5)
         active, gam = sorted(updates), resample(updates, 0.25, True)
-        after = be_step(state, active, gam, g, ctrl, 0.25, state.flows)
-        eps_c, eps_l = lte(state, after, active, resample(updates, 0.0, True), gam, g, ctrl,
+        after = be_step(state, active, gam, g, 0.5, 0.25, state.flows)
+        eps_c, eps_l = lte(state, after, active, resample(updates, 0.0, True), gam, g, 0.5,
                            state.flows)
         assert eps_c == pytest.approx(0.0, abs=1e-14)
         assert eps_l == pytest.approx(0.0, abs=1e-14)
@@ -219,13 +213,12 @@ class TestLte:
     def test_errors_shrink_on_converging_run(self):
         obj = QuadraticObjective(np.diag([5.0, 7.0]), np.array([1.0, -1.0]))
         cfg = ClientConfig(0, lr=0.01, epochs=20, weight=1.0)
-        g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.05)
-        ctrl = StepController(delta=1e-2, L=0.1)
         state = FlowState(np.array([5.0, 5.0]), np.zeros((1, 2)), 0.0, 0)
+        g = build_sensitivity(np.array([1.0]), obj.mean_hessian(state.x_c)[None, :], 0.05)
         eps = []
         for _ in range(300):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
-            state, records, _ = consensus_round(state, {0: upd}, g, ctrl)
+            state, records, _ = consensus_round(state, {0: upd}, g, 1e-2, 0.1)
             eps.extend(max(r.eps_c, r.eps_l) for r in records)
         assert np.linalg.norm(state.x_c - obj.center) <= 1e-8  # converged
         third = len(eps) // 3
@@ -241,9 +234,8 @@ class TestLte:
         after = FlowState(x_c, flows_after, dt, 0)
         updates = {i: _constant_update(x_c) for i in range(n)}
         g = build_sensitivity(np.full(n, 0.5), np.ones((n, d)), 0.1)
-        ctrl = StepController(L=L)
         eps_c, eps_l = lte(before, after, sorted(updates), resample(updates, 0.0, True),
-                           resample(updates, dt, True), g, ctrl, before.flows)
+                           resample(updates, dt, True), g, L, before.flows)
         assert eps_c == pytest.approx(0.5 * dt * delta)
         # rhs change is -delta * g in that coordinate
         expected_l = dt / (2 * L) * delta * g[1, 2]
@@ -253,9 +245,8 @@ class TestLte:
 class TestAdaptiveStep:
     def test_fixed_point_accepts_first_trial(self):
         state, updates, g = _fixed_point_setup(n=2, d=2)
-        ctrl = StepController(delta=1e-3)
         out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, updates, resample(updates, 0.0, True), g, ctrl, 0.3, state.flows)
+            state, updates, resample(updates, 0.0, True), g, 1e-3, 1.0, 0.3, state.flows)
         assert backtracks == 0
         assert dt_used == pytest.approx(0.3)
         assert max(eps_c, eps_l) == pytest.approx(0.0, abs=1e-14)
@@ -266,17 +257,17 @@ class TestAdaptiveStep:
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
-        ctrl = StepController(delta=1e-3, L=0.2)
+        delta, L = 1e-3, 0.2
         gam0, gam1 = resample({0: upd}, 0.0, True), resample({0: upd}, 0.5, True)
-        trial = be_step(state, [0], gam1, g, ctrl, 0.5, state.flows)
-        eps0 = max(*lte(state, trial, [0], gam0, gam1, g, ctrl, state.flows))
-        assert eps0 > ctrl.delta  # the constructed instance must force a retry
+        trial = be_step(state, [0], gam1, g, L, 0.5, state.flows)
+        eps0 = max(*lte(state, trial, [0], gam0, gam1, g, L, state.flows))
+        assert eps0 > delta  # the constructed instance must force a retry
         out, _, dt_used, backtracks, eps_c, eps_l = adaptive_step(
-            state, {0: upd}, gam0, g, ctrl, 0.5, state.flows)
+            state, {0: upd}, gam0, g, delta, L, 0.5, state.flows)
         assert backtracks >= 1
         if backtracks == 1:
-            assert dt_used == pytest.approx(consensus.SAFETY * (ctrl.delta / eps0) * 0.5)
-        assert max(eps_c, eps_l) <= ctrl.delta
+            assert dt_used == pytest.approx(consensus.SAFETY * (delta / eps0) * 0.5)
+        assert max(eps_c, eps_l) <= delta
 
     def test_quadratic_error_scaling_passes_second_trial(self):
         # eps scales ~ dt^2, so one shrink by SAFETY*delta/eps lands within
@@ -284,9 +275,8 @@ class TestAdaptiveStep:
         state = FlowState(np.array([1.0]), np.array([[0.0]]), 0.0, 0)
         upd = _update([0.0, 1.0], np.array([[0.0], [-1.0]]))
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
-        ctrl = StepController(delta=1e-3, L=0.2)
         _, _, _, backtracks, _, _ = adaptive_step(
-            state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, 0.5, state.flows)
+            state, {0: upd}, resample({0: upd}, 0.0, True), g, 1e-3, 0.2, 0.5, state.flows)
         assert backtracks == 1
 
     def test_exhaustion_raises_with_diagnostics(self, monkeypatch):
@@ -295,9 +285,8 @@ class TestAdaptiveStep:
         g = build_sensitivity(np.array([1.0]), np.array([[1.0]]), 0.1)
         # one trial allowed and a tolerance the first trial cannot meet
         monkeypatch.setattr(consensus, "MAX_BACKTRACKS", 1)
-        ctrl = StepController(delta=1e-9, L=0.2)
         with pytest.raises(StepControlError) as err:
-            adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), g, ctrl, 0.5,
+            adaptive_step(state, {0: upd}, resample({0: upd}, 0.0, True), g, 1e-9, 0.2, 0.5,
                           state.flows)
         assert err.value.dt > 0
         assert max(err.value.eps_c, err.value.eps_l) > 1e-9
@@ -306,8 +295,7 @@ class TestAdaptiveStep:
 class TestConsensusRound:
     def test_consensus_state_unchanged(self):
         state, updates, g = _fixed_point_setup(n=3, d=2)
-        ctrl = StepController(delta=1e-3)
-        out, records, _ = consensus_round(state, updates, g, ctrl)
+        out, records, _ = consensus_round(state, updates, g, 1e-3, 1.0)
         np.testing.assert_allclose(out.x_c, state.x_c, atol=1e-12)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
         assert out.gs_iter == state.gs_iter + 1
@@ -315,7 +303,7 @@ class TestConsensusRound:
     def test_first_trial_is_the_window(self):
         # with no previous step the first trial spans the whole window
         state, updates, g = _fixed_point_setup(window=0.4)
-        _, records, dt_last = consensus_round(state, updates, g, StepController())
+        _, records, dt_last = consensus_round(state, updates, g, 1e-3, 1.0)
         assert len(records) == 1
         assert records[0].dt == dt_last == 0.4
 
@@ -323,10 +311,10 @@ class TestConsensusRound:
         # a round that needs more accepted steps than MAX_SUBSTEPS stops after
         # the step that breaks the budget
         monkeypatch.setattr(consensus, "MAX_SUBSTEPS", 3)
-        state, updates, g, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
+        state, updates, g, L = _random_round(np.random.default_rng(5), 6, 4, 3)
         sink = []
         with pytest.raises(StepControlError, match="exceeded 3 substeps"):
-            consensus_round(state, updates, g, ctrl, state_sink=sink)
+            consensus_round(state, updates, g, 1e-3, L, state_sink=sink)
         assert len(sink) == 5   # entry state plus four accepted substeps
 
     def test_window_covers_max_client_window(self):
@@ -335,8 +323,7 @@ class TestConsensusRound:
         updates = {i: _constant_update([0.0], window=w)
                    for i, w in enumerate(windows)}
         g = build_sensitivity(np.full(3, 1 / 3), np.ones((3, 1)), 0.1)
-        ctrl = StepController(delta=1e-2)
-        out, records, _ = consensus_round(state, updates, g, ctrl)
+        out, records, _ = consensus_round(state, updates, g, 1e-2, 1.0)
         assert out.t_now == pytest.approx(1e-2, abs=1e-12)
         taus = [r.tau for r in records]
         assert max(taus) == pytest.approx(1e-2, abs=1e-12)
@@ -355,46 +342,45 @@ class TestConsensusRound:
         state = FlowState(np.zeros(2), np.zeros((n, 2)), t_now, 0)
         updates = {c.client_id: simulate_local(obj, c, state.x_c, np.zeros(2), t_start=t_now)
                    for c in cfgs}
-        g = build_sensitivity(np.full(n, 1.0 / n), np.tile(obj.mean_hessian(), (n, 1)), 0.01)
-        out, _, _ = consensus_round(state, updates, g, StepController(delta=1e-2))
+        g = build_sensitivity(np.full(n, 1.0 / n), np.tile(obj.mean_hessian(state.x_c), (n, 1)),
+                              0.01)
+        out, _, _ = consensus_round(state, updates, g, 1e-2, 1.0)
         assert out.t_now == state.t_now + max(c.window for c in cfgs)
 
     def test_single_client_quadratic_converges_to_center(self):
         obj = QuadraticObjective(np.diag([2.0, 4.0]), np.array([1.0, -2.0]))
         cfg = ClientConfig(0, lr=0.05, epochs=20, weight=1.0)
-        g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
-        ctrl = StepController(delta=1e-2, L=0.5)
         state = FlowState(np.zeros(2), np.zeros((1, 2)), 0.0, 0)
+        g = build_sensitivity(np.array([1.0]), obj.mean_hessian(state.x_c)[None, :], 0.1)
         for _ in range(200):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
-            state, _, _ = consensus_round(state, {0: upd}, g, ctrl)
+            state, _, _ = consensus_round(state, {0: upd}, g, 1e-2, 0.5)
         assert np.linalg.norm(state.x_c - obj.center) <= 1e-6
 
     def test_all_accepted_steps_within_tolerance(self):
         obj = QuadraticObjective(np.diag([3.0, 1.0]), np.array([0.5, 0.5]))
         cfg = ClientConfig(0, lr=0.05, epochs=10, weight=1.0)
-        g = build_sensitivity(np.array([1.0]), obj.mean_hessian()[None, :], 0.1)
-        ctrl = StepController(delta=1e-3, L=0.5)
         state = FlowState(np.array([4.0, -4.0]), np.zeros((1, 2)), 0.0, 0)
+        g = build_sensitivity(np.array([1.0]), obj.mean_hessian(state.x_c)[None, :], 0.1)
         for _ in range(30):
             upd = simulate_local(obj, cfg, state.x_c, -state.flows[0], t_start=state.t_now)
-            state, records, _ = consensus_round(state, {0: upd}, g, ctrl)
+            state, records, _ = consensus_round(state, {0: upd}, g, 1e-3, 0.5)
             for r in records:
-                assert max(r.eps_c, r.eps_l) <= ctrl.delta
+                assert max(r.eps_c, r.eps_l) <= 1e-3
 
     def test_state_sink_collects_substates(self):
         state, updates, g = _fixed_point_setup(n=2, d=2)
-        ctrl = StepController(delta=1e-2)
         sink = []
-        out, records, _ = consensus_round(state, updates, g, ctrl, state_sink=sink)
+        out, records, _ = consensus_round(state, updates, g, 1e-2, 1.0, state_sink=sink)
         assert len(sink) == len(records) + 1
         assert sink[0][0] == state.t_now
         assert sink[-1][0] == pytest.approx(out.t_now)
 
 
-def _random_round(rng, n, n_active, d, delta, t0=0.0):
+def _random_round(rng, n, n_active, d, t0=0.0):
     """A central round over n clients, n_active of them active, each active
-    client with its own step size and step count (so windows differ)."""
+    client with its own step size and step count (so windows differ), and
+    its flow inductance L."""
     active = sorted(rng.choice(n, n_active, replace=False).tolist())
     updates = {}
     for i in active:
@@ -403,8 +389,8 @@ def _random_round(rng, n, n_active, d, delta, t0=0.0):
     state = FlowState(rng.normal(size=d), rng.normal(size=(n, d)), t0, 0)
     g = build_sensitivity(rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 5.0, (n, d)), 0.05)
     g = g[active]     # the draws of all n clients, so each seed keeps its instance
-    ctrl = StepController(delta=delta, L=float(rng.uniform(0.05, 1.0)))
-    return state, updates, g, ctrl
+    L = float(rng.uniform(0.05, 1.0))
+    return state, updates, g, L
 
 
 def _same_round(fast, ref):
@@ -428,27 +414,27 @@ class TestCarriedResample:
     def test_matches_fresh_resample_reference(self, seed, n, d, sync, delta, t0, dt_seed):
         rng = np.random.default_rng(seed)
         n_active = int(rng.integers(1, n + 1))
-        state, updates, g, ctrl = _random_round(rng, n, n_active, d, delta, t0)
+        state, updates, g, L = _random_round(rng, n, n_active, d, t0)
 
         def loss(x):
             return float(x @ x)
 
         try:
-            fast = consensus_round(state, updates, g, ctrl, dt_seed, sync, loss)
+            fast = consensus_round(state, updates, g, delta, L, dt_seed, sync, loss)
         except StepControlError:
             with pytest.raises(StepControlError):
-                reference_consensus_round(state, updates, g, ctrl, dt_seed, sync, loss)
+                reference_consensus_round(state, updates, g, delta, L, dt_seed, sync, loss)
             return
-        _same_round(fast, reference_consensus_round(state, updates, g, ctrl, dt_seed,
+        _same_round(fast, reference_consensus_round(state, updates, g, delta, L, dt_seed,
                                                     sync, loss))
 
     @pytest.mark.parametrize("sync", [True, False])
     def test_backtracking_round_with_inactive_clients(self, sync):
-        state, updates, g, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
+        state, updates, g, L = _random_round(np.random.default_rng(5), 6, 4, 3)
         assert len({u.times[-1] - u.times[0] for u in updates.values()}) > 1
-        fast = consensus_round(state, updates, g, ctrl, sync=sync)
+        fast = consensus_round(state, updates, g, 1e-3, L, sync=sync)
         assert fast[1].backtracks.sum() > 0
-        _same_round(fast, reference_consensus_round(state, updates, g, ctrl, sync=sync))
+        _same_round(fast, reference_consensus_round(state, updates, g, 1e-3, L, sync=sync))
 
     @pytest.mark.parametrize("sync", [True, False])
     def test_interp_calls_per_round(self, monkeypatch, sync):
@@ -460,8 +446,8 @@ class TestCarriedResample:
             return interp(update, tau)
 
         monkeypatch.setattr(consensus, "interp_state", counting)
-        state, updates, g, ctrl = _random_round(np.random.default_rng(5), 6, 4, 3, 1e-3)
-        _, records, _ = consensus_round(state, updates, g, ctrl, sync=sync)
+        state, updates, g, L = _random_round(np.random.default_rng(5), 6, 4, 3)
+        _, records, _ = consensus_round(state, updates, g, 1e-3, L, sync=sync)
         trials = len(records) + int(records.backtracks.sum())
         assert trials > len(records)
         assert len(calls) == (len(updates) * (trials + 1) if sync else 0)
@@ -495,12 +481,11 @@ def test_two_client_round_reaches_weighted_minimizer():
             QuadraticObjective(np.diag([2.0, 6.0]), np.array([-1.0, 2.0]))]
     weights = np.array([0.3, 0.7])
     cfgs = [ClientConfig(i, lr=0.05, epochs=20, weight=weights[i]) for i in range(2)]
-    g = build_sensitivity(weights, np.array([o.mean_hessian() for o in objs]), 0.1)
-    ctrl = StepController(delta=1e-2, L=0.5)
     state = FlowState(np.zeros(2), np.zeros((2, 2)), 0.0, 0)
+    g = build_sensitivity(weights, np.array([o.mean_hessian(state.x_c) for o in objs]), 0.1)
     for _ in range(300):
         updates = {i: simulate_local(objs[i], cfgs[i], state.x_c, -state.flows[i],
                                      t_start=state.t_now) for i in range(2)}
-        state, _, _ = consensus_round(state, updates, g, ctrl)
+        state, _, _ = consensus_round(state, updates, g, 1e-2, 0.5)
     x_star = quadratic_minimizer(objs, weights)
     assert np.linalg.norm(state.x_c - x_star) <= 1e-6

@@ -627,19 +627,25 @@ def test_step_table_reads_and_prints_like_step_records():
         "round,tau,dt,eps_c,eps_l,backtracks,norm_xc_change,global_loss\n")
 
 
-@pytest.mark.parametrize("algo", ["fedecado", "fednova"])
-def test_benchmark_tracer_sees_every_layer(algo):
+@pytest.mark.parametrize("run", ["fedecado", "fednova", "logistic-fedecado"])
+def test_benchmark_tracer_sees_every_layer(run, tmp_path):
     """The benchmark's tracer wraps this program's layers from outside.  A
     traced run must give the untraced run's outputs, find every attach point,
     count the central steps the run recorded, and see the client windows of
-    every algorithm, their local steps and their resamples.  Retiring an
-    attach point means editing this test."""
+    every algorithm, their local steps and their resamples; a logistic run
+    that writes its outputs also shows its curvature calls and trace loss.
+    Retiring an attach point means editing this test."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    cfg = quad_config(algo=algo, n_clients=10, participation_ratio=0.3, rounds_max=40,
-                      heterogeneity={"mode": "random"})
+    algo = run.removeprefix("logistic-")
+    if run == "logistic-fedecado":
+        cfg = logistic_config(n_clients=10, participation_ratio=0.3, rounds_max=40,
+                              out_dir=str(tmp_path))
+    else:
+        cfg = quad_config(algo=algo, n_clients=10, participation_ratio=0.3, rounds_max=40,
+                          heterogeneity={"mode": "random"})
     plain = run_experiment(cfg)
     tracer = bench.Tracer()
     tracer.install()
@@ -664,3 +670,7 @@ def test_benchmark_tracer_sees_every_layer(algo):
                                                       if algo == "fedecado" else 0)
     if algo == "fednova":
         assert layers["baselines.round.calls"] == 40
+    if run == "logistic-fedecado":
+        # one curvature per active client per round, and a loss per accepted step
+        assert layers["objectives.mean_hessian.calls"] == 3 * traced.rounds_run
+        assert layers["consensus.trace_loss_s"] > 0

@@ -40,7 +40,7 @@ class TestQuadratic:
         np.testing.assert_array_equal(simple_quadratic.gradient(simple_quadratic.center), 0.0)
 
     def test_mean_hessian_is_diagonal_of_matrix(self, simple_quadratic):
-        np.testing.assert_allclose(simple_quadratic.mean_hessian(), [2.0, 4.0])
+        np.testing.assert_allclose(simple_quadratic.mean_hessian(np.zeros(2)), [2.0, 4.0])
 
     def test_dimension_mismatch_raises(self, simple_quadratic):
         with pytest.raises(ValueError):

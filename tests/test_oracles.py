@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from fedecado.clients import ClientConfig, simulate_local
 from fedecado.consensus import (
     FlowState,
-    StepController,
     build_sensitivity,
     consensus_round,
     resample,
 )
 from fedecado.objectives import LogisticObjective, QuadraticObjective, random_quadratic
 from fedecado.oracles import (
-    BetaNormSpec,
     IMPLEMENTED_CENTRAL_SIGN,
     Trajectory,
     beta_norm,
@@ -105,36 +103,31 @@ class TestDenseReference:
         state = FlowState(x_c, np.zeros((2, 3)), 0.0, 0)
         updates = {i: _constant_update(x_c) for i in range(2)}
         g = build_sensitivity(np.array([0.5, 0.5]), np.ones((2, 3)), 0.1)
-        out = dense_be_reference(state, [0, 1], resample(updates, 0.2, True), g,
-                                 StepController(), 0.2, state.flows)
+        out = dense_be_reference(state, [0, 1], resample(updates, 0.2, True), g, 1.0, 0.2,
+                                 state.flows)
         np.testing.assert_allclose(out.x_c, x_c, atol=1e-12)
         np.testing.assert_allclose(out.flows, 0.0, atol=1e-12)
 
     def test_scale_limit_enforced(self):
         state = FlowState(np.zeros(40), np.zeros((2, 40)), 0.0, 0)
         with pytest.raises(ValueError):
-            dense_be_reference(state, [], np.zeros((0, 40)), np.zeros((0, 40)),
-                               StepController(), 0.1, state.flows)
+            dense_be_reference(state, [], np.zeros((0, 40)), np.zeros((0, 40)), 1.0, 0.1,
+                               state.flows)
 
 
 class TestBetaNorm:
     def test_zero_trajectory(self):
         traj = Trajectory(np.linspace(0, 1, 5), np.zeros((5, 3)))
-        assert beta_norm(traj, BetaNormSpec(beta=1.0)) == 0.0
+        assert beta_norm(traj, 1.0) == 0.0
 
     def test_constant_trajectory_dominated_by_start(self):
         traj = Trajectory(np.linspace(0, 10, 6), np.full((6, 2), 7.0))
-        assert beta_norm(traj, BetaNormSpec(beta=2.0)) == pytest.approx(7.0)
+        assert beta_norm(traj, 2.0) == pytest.approx(7.0)
 
     def test_discount_applied(self):
         # value 1 at t=0 and value e at t=1: with beta=1 both contribute 1
         traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0], [np.e]]))
-        assert beta_norm(traj, BetaNormSpec(beta=1.0)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_empty_grid_rejected(self):
-        traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            beta_norm(traj, BetaNormSpec(beta=1.0, grid=np.array([])))
+        assert beta_norm(traj, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_series_bound_holds_for_random_signals(self):
         rng = np.random.default_rng(9)
@@ -212,20 +205,19 @@ def test_coupling_strength_speeds_contraction():
     objs = [random_quadratic(4, rng, 30.0, 60.0) for _ in range(3)]
     weights = np.array([0.5, 0.3, 0.2])
     cfgs = [ClientConfig(i, lr=0.0025, epochs=20, weight=weights[i]) for i in range(3)]
-    hess = np.array([o.mean_hessian() for o in objs])
+    hess = np.array([o.mean_hessian(np.zeros(4)) for o in objs])
     x_star = quadratic_minimizer(objs, weights)
     flows_star = stationary_flows(objs, weights, x_star)
 
     def median_ratio(L):
         g = build_sensitivity(weights, hess, 0.05)
-        ctrl = StepController(delta=1e-2, L=L)
         state = FlowState(np.zeros(4), np.zeros((3, 4)), 0.0, 0)
         rounds = []
         for _ in range(60):
             updates = {i: simulate_local(objs[i], cfgs[i], state.x_c, -state.flows[i],
                                          t_start=state.t_now) for i in range(3)}
             sink = []
-            state, _, _ = consensus_round(state, updates, g, ctrl, state_sink=sink)
+            state, _, _ = consensus_round(state, updates, g, 1e-2, L, state_sink=sink)
             times, states = zip(*sink)
             rounds.append(Trajectory(np.array(times), np.array(states)))
         ratios = contraction_ratio(rounds, x_star, flows_star)
